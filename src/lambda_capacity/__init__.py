@@ -24,10 +24,10 @@ from .channel import (
     validate_channel,
 )
 from .lambda_system import (
-    Isometry,
     LambdaParams,
     channel_map,
     closed_form_channel,
+    coherent_information_at,
     decay_isometry,
     pulse_propagator,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "ChannelMap",
     "ChannelReport",
     "DensityMatrix",
-    "Isometry",
     "JointProbabilityTable",
     "LambdaParams",
     "Optimum",
@@ -62,6 +61,7 @@ __all__ = [
     "choi_matrix",
     "closed_form_channel",
     "coherent_information",
+    "coherent_information_at",
     "decay_isometry",
     "entropy_bits",
     "entropy_exchange",

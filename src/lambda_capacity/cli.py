@@ -195,12 +195,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config:
         _load_file(args.config, cfg)
-    for key in ("theta", "chi", "phi", "asym"):
+    for key in ("theta", "chi", "phi", "gamma_t", "asym"):
         value = getattr(args, key, None)
         if value is not None:
             cfg.params[key] = float(value)
-    if getattr(args, "gamma_t", None) is not None:
-        cfg.params["gamma_t"] = _number(args.gamma_t, "gamma-t")
     for key in STATE_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -432,7 +430,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, help="total pulse action angle (radians)")
         p.add_argument("--chi", type=float, help="intensity-distribution angle in [0, pi/2]")
         p.add_argument("--phi", type=float, help="relative phase of the two pulse tones")
-        p.add_argument("--gamma-t", dest="gamma_t", help="elapsed decay gamma*t (number or \"inf\")")
+        p.add_argument("--gamma-t", dest="gamma_t", type=float, help="elapsed decay gamma*t (number or \"inf\")")
         p.add_argument("--asym", type=float, help="decay-rate ratio gamma13/gamma23")
         p.add_argument("--rho11", type=float, help="input-state population of level 1")
         p.add_argument("--re-rho12", dest="re_rho12", type=float, help="Re of the input coherence")
@@ -471,7 +469,10 @@ _NUMERIC_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _make_parser().parse_args(argv)
+    try:
+        args = _make_parser().parse_args(argv)
+    except SystemExit as err:  # a malformed flag, reported by argparse
+        return err.code
     try:
         cfg = build_config(args)
         if args.dump_config:

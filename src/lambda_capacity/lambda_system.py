@@ -8,6 +8,11 @@ modes (one per transition).  Tracing out the atom leaves a channel from the
 ground-state qubit to the three-state photon field {vacuum, ph13, ph23},
 which this module builds in transfer-operator form, both constructively from
 the pulse and decay isometries and from an explicit closed-form table.
+
+The atom purifies the field together with a mirror of the input, so the
+coherent information of a point needs only two 3x3 states of the composed
+isometry W = V U: the field state and the atom state
+(:func:`coherent_information_at`).
 """
 
 from __future__ import annotations
@@ -17,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMap
-from .linalg import hermitian_eigensystem
+from .channel import ChannelMap, DensityMatrix
+from .linalg import entropy_bits
 
-ISOMETRY_TOL = 1e-10
 ALPHA_TOL = 1e-12
-
-ATOM_BASIS = ("1", "2", "3")
-FIELD_BASIS = ("0", "ph13", "ph23")
 
 
 class InvalidAngle(ValueError):
@@ -89,25 +90,6 @@ class LambdaParams:
         return 1.0 - self.alpha1
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Matrix with orthonormal columns, plus basis labels for its two sides."""
-
-    matrix: np.ndarray
-    row_basis: tuple[str, ...]
-    col_basis: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.row_basis), len(self.col_basis)):
-            raise ValueError(f"matrix shape {m.shape} does not match basis labels")
-        gram = m.conj().T @ m
-        dev = np.max(np.abs(gram - np.eye(m.shape[1])))
-        if dev > ISOMETRY_TOL:
-            raise ValueError(f"columns not orthonormal, deviation {dev:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-
 def _check_angles(theta: float, chi: float, phi: float) -> None:
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise InvalidAngle(f"theta and phi must be finite, got ({theta}, {phi})")
@@ -122,29 +104,27 @@ def _check_alphas(alpha1: float, alpha2: float, gamma_t: float) -> None:
         raise InvalidAlphas(f"gamma_t must lie in [0, inf], got {gamma_t}")
 
 
-def pulse_propagator(theta: float, chi: float, phi: float = 0.0) -> Isometry:
+def pulse_propagator(theta: float, chi: float, phi: float = 0.0) -> np.ndarray:
     """Ground-subspace block of the resonant pulse propagator.
 
     Returns the 3x2 matrix whose columns are the images of |1> and |2> under
     exp(-i H tau_p), with the rotating-frame Hamiltonian
     H = (1/2) [Omega1 e^{i phi} |3><1| + Omega2 |3><2| + h.c.],
     Omega1 = Omega sin(chi), Omega2 = Omega cos(chi), Omega tau_p = theta.
+    H couples |3> only to the bright state b = e^{-i phi} sin(chi)|1> +
+    cos(chi)|2>, so exp(-i H tau_p) = |d><d| + cos(theta/2)(|b><b| + |3><3|)
+    - i sin(theta/2)(|3><b| + |b><3|), with d the dark ground state.
     """
     _check_angles(theta, chi, phi)
-    half1 = 0.5 * theta * math.sin(chi) * np.exp(1j * phi)
-    half2 = 0.5 * theta * math.cos(chi)
-    h = np.zeros((3, 3), dtype=complex)
-    h[2, 0] = half1
-    h[0, 2] = np.conj(half1)
-    h[2, 1] = half2
-    h[1, 2] = half2
-    spec = hermitian_eigensystem(h)
-    phases = np.exp(-1j * spec.eigenvalues)
-    full = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
-    return Isometry(full[:, :2], ATOM_BASIS, ATOM_BASIS[:2])
+    bright = np.array([np.exp(-1j * phi) * math.sin(chi), math.cos(chi)])
+    half = 0.5 * theta
+    u = np.empty((3, 2), dtype=complex)
+    u[:2] = np.eye(2) + (math.cos(half) - 1.0) * np.outer(bright, bright.conj())
+    u[2] = -1j * math.sin(half) * bright.conj()
+    return u
 
 
-def decay_isometry(alpha1: float, alpha2: float, gamma_t: float) -> Isometry:
+def decay_isometry(alpha1: float, alpha2: float, gamma_t: float) -> np.ndarray:
     """Radiative-decay isometry from the atom into atom x field.
 
     Ground levels keep the field in vacuum; the excited level survives with
@@ -161,21 +141,39 @@ def decay_isometry(alpha1: float, alpha2: float, gamma_t: float) -> Isometry:
     v[6, 2] = survive
     v[1, 2] = emitted * math.sqrt(alpha1)
     v[5, 2] = emitted * math.sqrt(alpha2)
-    rows = tuple(f"{k},{f}" for k in ATOM_BASIS for f in FIELD_BASIS)
-    return Isometry(v, rows, ATOM_BASIS)
+    return v
+
+
+def _isometry(params: LambdaParams) -> np.ndarray:
+    """W = V U, the pulse then the decay, as a (3 atom, 3 field, 2 input) array."""
+    u = pulse_propagator(params.theta, params.chi, params.phi)
+    v = decay_isometry(params.alpha1, params.alpha2, params.gamma_t)
+    return (v @ u).reshape(3, 3, 2)
 
 
 def channel_map(params: LambdaParams) -> ChannelMap:
     """Assemble the qubit -> photon-field channel for the given parameters.
 
-    Composes the pulse with the decay, W = V U, and traces out the atom:
+    Traces the atom out of W = V U:
     s[m, n][a, b] = sum_k W[k,a,m] * conj(W[k,b,n]).
     """
-    u = pulse_propagator(params.theta, params.chi, params.phi).matrix
-    v = decay_isometry(params.alpha1, params.alpha2, params.gamma_t).matrix
-    w = (v @ u).reshape(3, 3, 2)
-    s = np.einsum("kam,kbn->mnab", w, w.conj())
-    return ChannelMap(s)
+    w = _isometry(params)
+    return ChannelMap(np.einsum("kam,kbn->mnab", w, w.conj()))
+
+
+def coherent_information_at(params: LambdaParams, rho: DensityMatrix) -> float:
+    """Coherent information in bits of the channel at ``params`` for input ``rho``.
+
+    W rho W^dag is pure on atom x field x mirror once rho is purified, so the
+    entropy exchange equals the entropy of the atom state Tr_field[W rho W^dag]
+    and I_c = S(field) - S(atom).  Agrees with
+    ``coherent_information(channel_map(params), rho)``, which goes through the
+    6x6 field-mirror state instead.
+    """
+    w = _isometry(params)
+    field = np.einsum("kam,mn,kbn->ab", w, rho.matrix, w.conj())
+    atom = np.einsum("kam,mn,lan->kl", w, rho.matrix, w.conj())
+    return entropy_bits(np.linalg.eigvalsh(field)) - entropy_bits(np.linalg.eigvalsh(atom))
 
 
 def closed_form_channel(

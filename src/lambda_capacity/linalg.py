@@ -77,9 +77,11 @@ def entropy_bits(probabilities: np.ndarray) -> float:
 
     Entries in [-1e-10, 0) are treated as roundoff and clamped to zero;
     anything more negative signals an upstream positivity bug and raises
-    instead of being silently absorbed.
+    instead of being silently absorbed, as does a NaN or Inf entry.
     """
     p = np.asarray(probabilities, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise NotNormalized(f"probabilities contain NaN or Inf: {p.tolist()}")
     smallest = p.min() if p.size else 0.0
     if smallest < -PROBABILITY_CLAMP:
         raise NegativeProbability(f"probability {smallest:.3e} below -{PROBABILITY_CLAMP:.0e}")

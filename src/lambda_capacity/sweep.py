@@ -13,23 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import (
-    DensityMatrix,
-    NotDensityMatrix,
-    OutputNotDensity,
-    coherent_information,
-    maximally_mixed,
-    qubit_state,
-)
-from .lambda_system import InvalidAlphas, InvalidAngle, LambdaParams, channel_map
+from .channel import DensityMatrix, NotDensityMatrix, maximally_mixed, qubit_state
+from .lambda_system import InvalidAlphas, InvalidAngle, LambdaParams, coherent_information_at
 
 PARAM_NAMES = ("theta", "chi", "phi", "gamma_t", "rho11", "re_rho12", "im_rho12", "asym")
 STATE_NAMES = ("rho11", "re_rho12", "im_rho12")
@@ -176,58 +167,27 @@ def _state_at(point: Mapping[str, float], input_state: InputState, use_state_par
 def _ic_at(point: Mapping[str, float], input_state: InputState, use_state_params: bool) -> float:
     params = _params_at(point)
     rho = _state_at(point, input_state, use_state_params)
-    return coherent_information(channel_map(params), rho)
-
-
-def worker_count() -> int:
-    """Parallel workers for grid evaluation, from LAMBDA_CAPACITY_THREADS.
-
-    Unset or 0 means automatic (cpu count, capped at 8).
-    """
-    raw = os.environ.get("LAMBDA_CAPACITY_THREADS", "").strip()
-    if raw:
-        try:
-            requested = int(raw)
-        except ValueError as err:
-            raise InvalidSpec(f"LAMBDA_CAPACITY_THREADS must be an integer, got {raw!r}") from err
-        if requested < 0:
-            raise InvalidSpec(f"LAMBDA_CAPACITY_THREADS must be >= 0, got {requested}")
-        if requested > 0:
-            return requested
-    return min(8, os.cpu_count() or 1)
+    return coherent_information_at(params, rho)
 
 
 def grid_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate I_c on the grid; values come back in grid order regardless
-    of how evaluation is scheduled."""
-    base = dict(DEFAULTS)
-    base.update(spec.fixed)
+    """Evaluate I_c at every grid point, in row-major axis order."""
+    here = dict(DEFAULTS)
+    here.update(spec.fixed)
     use_state = spec.uses_state_params()
     axis_values = [axis.values() for axis in spec.axes]
     shape = tuple(len(vals) for vals in axis_values)
     points = list(itertools.product(*axis_values))
 
-    def evaluate(grid_point: Sequence[float]) -> float:
-        here = dict(base)
+    flat = np.empty(len(points), dtype=float)
+    for i, grid_point in enumerate(points):
         for axis, value in zip(spec.axes, grid_point):
             here[axis.name] = float(value)
         try:
-            return _ic_at(here, spec.input_state, use_state)
-        except OutputNotDensity:
-            raise
+            flat[i] = _ic_at(here, spec.input_state, use_state)
         except NotDensityMatrix as err:
             at = ", ".join(f"{axis.name}={v:g}" for axis, v in zip(spec.axes, grid_point))
             raise InvalidStateAtPoint(f"invalid input state at {at}: {err}") from err
-
-    workers = worker_count()
-    flat = np.empty(len(points), dtype=float)
-    if workers <= 1 or len(points) < 64:
-        for i, grid_point in enumerate(points):
-            flat[i] = evaluate(grid_point)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, value in enumerate(pool.map(evaluate, points, chunksize=32)):
-                flat[i] = value
 
     values = flat.reshape(shape) if len(shape) > 1 else flat
     best = int(np.argmax(flat))
@@ -289,8 +249,6 @@ def maximize_ic(
         here.update(assignment)
         try:
             return _ic_at(here, input_state, use_state)
-        except OutputNotDensity:
-            raise
         except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
             return -math.inf
 

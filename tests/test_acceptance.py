@@ -146,9 +146,7 @@ def test_noiseless_channel_axioms():
         assert entropy_exchange(channel, pure) == pytest.approx(s_out, abs=1e-10)
 
 
-def test_figure_grids_reproduce_known_structure(monkeypatch):
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "1")
-
+def test_figure_grids_reproduce_known_structure():
     start = time.perf_counter()
     fig2b = grid_sweep(figure_preset("fig2b"))
     elapsed_2b = time.perf_counter() - start

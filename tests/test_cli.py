@@ -56,6 +56,17 @@ def test_compute_accepts_inf_gamma_t(capsys):
     assert "0.688722" in out
 
 
+def test_gamma_t_flag_matches_config_file(capsys, tmp_path):
+    for flag, value in (("3.27", 3.27), ("inf", "inf")):
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps({"params": {"gamma_t": value}}))
+        code, from_file, _ = run(capsys, "compute", "--config", str(config))
+        assert code == 0
+        code, from_flag, _ = run(capsys, "compute", "--gamma-t", flag)
+        assert code == 0
+        assert from_flag == from_file
+
+
 def test_validate_passes_for_valid_params(capsys, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "validate", "--out", str(target))
@@ -144,8 +155,7 @@ def test_figure_requires_id(capsys):
     assert code == 2
 
 
-def test_figure_preset_runs(capsys, monkeypatch):
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "4")
+def test_figure_preset_runs(capsys):
     code, out, _ = run(capsys, "figure", "--figure", "fig2b")
     assert code == 0
     lines = out.splitlines()

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from lambda_capacity.channel import (
     apply_channel,
     coherent_information,
     maximally_mixed,
+    qubit_state,
     validate_channel,
 )
 from lambda_capacity.lambda_system import (
@@ -15,6 +17,7 @@ from lambda_capacity.lambda_system import (
     LambdaParams,
     channel_map,
     closed_form_channel,
+    coherent_information_at,
     decay_isometry,
     pulse_propagator,
 )
@@ -38,22 +41,31 @@ def analytic_pulse(theta, chi, phi):
     )
 
 
+def pulse_by_expm(theta, chi, phi):
+    """Ground columns of exp(-i H tau_p), straight from the Hamiltonian."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[2, 0] = 0.5 * theta * math.sin(chi) * np.exp(1j * phi)
+    h[2, 1] = 0.5 * theta * math.cos(chi)
+    h = h + h.conj().T
+    return expm(-1j * h)[:, :2]
+
+
 # -------------------------------------------------------------------- pulse
 
 
 def test_pulse_theta_zero_is_identity_embedding():
-    u = pulse_propagator(0.0, 0.3, 1.1).matrix
+    u = pulse_propagator(0.0, 0.3, 1.1)
     assert np.allclose(u, np.array([[1, 0], [0, 1], [0, 0]]), atol=1e-14)
 
 
 def test_pulse_full_transfer_on_single_tone():
-    u = pulse_propagator(math.pi, math.pi / 2, 0.0).matrix
+    u = pulse_propagator(math.pi, math.pi / 2, 0.0)
     assert np.allclose(u[:, 0], [0, 0, -1j], atol=1e-12)
     assert np.allclose(u[:, 1], [0, 1, 0], atol=1e-12)
 
 
 def test_pulse_balanced_tones_keep_dark_state():
-    u = pulse_propagator(math.pi, math.pi / 4, 0.0).matrix
+    u = pulse_propagator(math.pi, math.pi / 4, 0.0)
     assert np.allclose(u[:, 0], [0.5, -0.5, -1j / np.sqrt(2)], atol=1e-12)
 
 
@@ -61,8 +73,9 @@ def test_pulse_matches_trig_form_on_grid():
     for theta in np.linspace(0.0, 2.0 * math.pi, 7):
         for chi in np.linspace(0.0, math.pi / 2, 5):
             for phi in (0.0, 0.7, 2.0, 5.5):
-                u = pulse_propagator(theta, chi, phi).matrix
+                u = pulse_propagator(theta, chi, phi)
                 assert np.max(np.abs(u - analytic_pulse(theta, chi, phi))) < 1e-12
+                assert np.max(np.abs(u - pulse_by_expm(theta, chi, phi))) < 1e-12
 
 
 def test_pulse_rejects_bad_angles():
@@ -76,13 +89,13 @@ def test_pulse_rejects_bad_angles():
 
 
 def test_decay_nothing_emitted_at_time_zero():
-    v = decay_isometry(0.5, 0.5, 0.0).matrix
+    v = decay_isometry(0.5, 0.5, 0.0)
     assert v[1, 2] == 0.0 and v[5, 2] == 0.0
     assert v[6, 2] == 1.0
 
 
 def test_decay_complete_emission_at_long_times():
-    v = decay_isometry(0.5, 0.5, math.inf).matrix
+    v = decay_isometry(0.5, 0.5, math.inf)
     assert v[6, 2] == 0.0
     assert v[1, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert v[5, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
@@ -91,14 +104,14 @@ def test_decay_complete_emission_at_long_times():
 def test_decay_columns_stay_orthonormal():
     for a1 in (0.0, 0.25, 0.7, 1.0):
         for gt in GT_GRID:
-            v = decay_isometry(a1, 1.0 - a1, gt).matrix
+            v = decay_isometry(a1, 1.0 - a1, gt)
             assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
 
 
 def test_decay_excited_population_follows_exponential():
     psi = np.array([0.3, 0.4j, math.sqrt(1 - 0.25)])
     for gt in (0.0, 0.7, 2.0, math.inf):
-        m = (decay_isometry(0.3, 0.7, gt).matrix @ psi).reshape(3, 3)
+        m = (decay_isometry(0.3, 0.7, gt) @ psi).reshape(3, 3)
         atom = m @ m.conj().T
         assert abs(atom[2, 2].real - 0.75 * math.exp(-gt)) < 1e-12
 
@@ -156,8 +169,8 @@ def test_composed_isometry_is_isometric():
     for theta in np.linspace(0.0, 2.0 * math.pi, 5):
         for chi in np.linspace(0.0, math.pi / 2, 4):
             for gt in GT_GRID:
-                u = pulse_propagator(theta, chi, 0.4).matrix
-                v = decay_isometry(0.3, 0.7, gt).matrix
+                u = pulse_propagator(theta, chi, 0.4)
+                v = decay_isometry(0.3, 0.7, gt)
                 w = v @ u
                 assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-12
 
@@ -226,3 +239,47 @@ def test_mixed_input_information_ignores_pulse_split_and_phase():
 def test_output_state_flagship_point():
     out = apply_channel(channel_map(LambdaParams()), maximally_mixed(2))
     assert np.allclose(out.matrix, np.diag([0.5, 0.25, 0.25]), atol=1e-12)
+
+
+# ---------------------------------------------------------------- evaluator
+
+
+def oracle_points():
+    """(theta, chi, phi, gamma_t, asym, rho): seeded random points, then the
+    edge values theta = 0, gamma_t in {0, inf}, asym = 0, rho11 in {0, 1}
+    and a pure input on the boundary |rho12|^2 = rho11 (1 - rho11)."""
+    rng = np.random.default_rng(31)
+    points = []
+    for _ in range(60):
+        rho11 = rng.uniform(0.0, 1.0)
+        coherence = rng.uniform(0.0, 1.0) * math.sqrt(rho11 * (1.0 - rho11))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        rho = qubit_state(rho11, coherence * math.cos(angle), coherence * math.sin(angle))
+        gt = math.inf if rng.random() < 0.2 else rng.uniform(0.0, 8.0)
+        points.append((
+            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi / 2),
+            rng.uniform(-math.pi, math.pi), gt, rng.uniform(0.0, 2.0), rho,
+        ))
+    edge = math.sqrt(0.3 * 0.7)
+    states = (
+        qubit_state(0.0), qubit_state(1.0), maximally_mixed(2),
+        qubit_state(0.3, edge * math.cos(1.1), edge * math.sin(1.1)),
+    )
+    for theta in (0.0, 1.3, math.pi):
+        for gt in (0.0, 2.0, math.inf):
+            for asym in (0.0, 1.0, 1.7):
+                points.extend((theta, 0.7, 0.4, gt, asym, rho) for rho in states)
+    return points
+
+
+def test_evaluator_matches_purification_and_closed_form_routes():
+    for theta, chi, phi, gt, asym, rho in oracle_points():
+        params = LambdaParams(gamma13=asym, gamma23=1.0, theta=theta, chi=chi, phi=phi, gamma_t=gt)
+        ic = coherent_information_at(params, rho)
+        assert abs(ic - coherent_information(channel_map(params), rho)) < 1e-12
+        # closed_form_channel is written out for chi = pi/2, phi = 0
+        drive = LambdaParams(gamma13=asym, gamma23=1.0, theta=theta, gamma_t=gt)
+        closed = closed_form_channel(theta, gt, drive.alpha1, drive.alpha2)
+        ic_drive = coherent_information_at(drive, rho)
+        assert abs(ic_drive - coherent_information(closed, rho)) < 1e-12
+        assert abs(ic_drive - coherent_information(channel_map(drive), rho)) < 1e-12

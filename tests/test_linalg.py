@@ -82,6 +82,8 @@ def test_entropy_rejects_bad_input():
         entropy_bits(np.array([1.1, -0.1]))
     with pytest.raises(NotNormalized):
         entropy_bits(np.array([0.5, 0.4]))
+    with pytest.raises(NotNormalized):
+        entropy_bits(np.array([np.nan, 1.0]))
 
 
 def test_kron_identities_and_shapes():

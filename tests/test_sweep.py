@@ -13,7 +13,6 @@ from lambda_capacity.sweep import (
     figure_preset,
     grid_sweep,
     maximize_ic,
-    worker_count,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -76,15 +75,6 @@ def test_two_axis_sweep_is_row_major():
     assert np.allclose(result.values[0], -1.0, atol=1e-9)
 
 
-def test_sweep_deterministic_across_worker_counts(monkeypatch):
-    spec = SweepSpec(axes=(Axis("theta", 0.0, TWO_PI, 9), Axis("chi", 0.0, math.pi / 2, 9)))
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "1")
-    serial = grid_sweep(spec).values
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "4")
-    threaded = grid_sweep(spec).values
-    assert np.array_equal(serial, threaded)
-
-
 def test_sweep_rejects_unphysical_state_points():
     spec = SweepSpec(axes=(Axis("rho11", 0.0, 1.0, 5),), fixed={"re_rho12": 0.4})
     with pytest.raises(InvalidStateAtPoint):
@@ -101,21 +91,6 @@ def test_diagonal_pure_inputs_never_gain_information():
     values = grid_sweep(spec).values
     assert np.all(values[:, 0] <= 1e-10)
     assert np.all(values[:, -1] <= 1e-10)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.delenv("LAMBDA_CAPACITY_THREADS")
-    assert worker_count() >= 1
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "many")
-    with pytest.raises(InvalidSpec):
-        worker_count()
-    monkeypatch.setenv("LAMBDA_CAPACITY_THREADS", "-2")
-    with pytest.raises(InvalidSpec):
-        worker_count()
 
 
 # ------------------------------------------------------------- optimization
