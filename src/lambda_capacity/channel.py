@@ -55,7 +55,9 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > DENSITY_TOL:
             raise NotDensityMatrix(f"trace {tr!r} is not 1")
-        lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+        # halve before adding: (m + m^H) / 2 overflows for entries near the
+        # float limit, and NaN eigenvalues would then pass the check below
+        lowest = float(np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0).min())
         if lowest < -DENSITY_TOL:
             raise NotDensityMatrix(f"negative eigenvalue {lowest:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -88,6 +90,36 @@ def qubit_state(rho11: float, re_rho12: float = 0.0, im_rho12: float = 0.0) -> D
     off = complex(re_rho12, im_rho12)
     m = np.array([[rho11, off], [off.conjugate(), 1.0 - rho11]], dtype=complex)
     return DensityMatrix(m)
+
+
+def qubit_matrices(rho11, re_rho12, im_rho12) -> np.ndarray:
+    """The matrices of :func:`qubit_state` for arrays of shape (...), unvalidated: (..., 2, 2)."""
+    rho11, re_rho12, im_rho12 = np.broadcast_arrays(rho11, re_rho12, im_rho12)
+    m = np.empty(rho11.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = rho11
+    m[..., 0, 1].real = re_rho12
+    m[..., 0, 1].imag = im_rho12
+    m[..., 1, 0] = m[..., 0, 1].conj()
+    m[..., 1, 1] = 1.0 - rho11
+    return m
+
+
+def density_mask(matrices: np.ndarray) -> np.ndarray:
+    """Elementwise over a stack (..., d, d): True where ``DensityMatrix`` accepts the matrix.
+
+    The same checks and tolerances as :class:`DensityMatrix`, with the
+    lowest eigenvalue from one batched ``eigvalsh`` over the stack.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # zero the rejected non-finite matrices so that the eigensolver never sees them
+    m = np.where(finite[..., None, None], m, 0.0)
+    adjoint = m.conj().swapaxes(-2, -1)
+    with np.errstate(over="ignore"):
+        hermitian = np.abs(m - adjoint).max(axis=(-2, -1)) <= DENSITY_TOL
+        unit_trace = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) <= DENSITY_TOL
+    lowest = np.linalg.eigvalsh(m / 2.0 + adjoint / 2.0).min(axis=-1)
+    return finite & hermitian & unit_trace & (lowest >= -DENSITY_TOL)
 
 
 @dataclass(frozen=True)

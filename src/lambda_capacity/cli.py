@@ -53,7 +53,6 @@ EXIT_VALIDATION = 5
 
 CHANNEL_KEYS = ("gamma13", "gamma23", "theta", "chi", "phi", "gamma_t", "asym")
 STATE_KEYS = ("rho11", "re_rho12", "im_rho12")
-SWEEPABLE = ("theta", "chi", "phi", "gamma_t", "asym", "rho11", "re_rho12", "im_rho12")
 
 
 class ConfigError(ValueError):

@@ -11,8 +11,9 @@ the pulse and decay isometries and from an explicit closed-form table.
 
 The atom purifies the field together with a mirror of the input, so the
 coherent information of a point needs only two 3x3 states of the composed
-isometry W = V U: the field state and the atom state
-(:func:`coherent_information_at`).
+isometry W = V U: the field state and the atom state.
+:func:`coherent_information_batch` evaluates many points at once;
+:func:`coherent_information_at` is its one-point call.
 """
 
 from __future__ import annotations
@@ -116,11 +117,18 @@ def pulse_propagator(theta: float, chi: float, phi: float = 0.0) -> np.ndarray:
     - i sin(theta/2)(|3><b| + |b><3|), with d the dark ground state.
     """
     _check_angles(theta, chi, phi)
-    bright = np.array([np.exp(-1j * phi) * math.sin(chi), math.cos(chi)])
+    return _pulse(theta, chi, phi)
+
+
+def _pulse(theta, chi, phi) -> np.ndarray:
+    """Unchecked :func:`pulse_propagator` over angle arrays of shape (...): (..., 3, 2)."""
+    theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
+    bright = np.stack([np.exp(-1j * phi) * np.sin(chi), np.cos(chi).astype(complex)], axis=-1)
     half = 0.5 * theta
-    u = np.empty((3, 2), dtype=complex)
-    u[:2] = np.eye(2) + (math.cos(half) - 1.0) * np.outer(bright, bright.conj())
-    u[2] = -1j * math.sin(half) * bright.conj()
+    outer = bright[..., :, None] * bright.conj()[..., None, :]
+    u = np.empty(theta.shape + (3, 2), dtype=complex)
+    u[..., :2, :] = np.eye(2) + (np.cos(half) - 1.0)[..., None, None] * outer
+    u[..., 2, :] = -1j * np.sin(half)[..., None] * bright.conj()
     return u
 
 
@@ -133,22 +141,41 @@ def decay_isometry(alpha1: float, alpha2: float, gamma_t: float) -> np.ndarray:
     (1,0), (1,ph13), (1,ph23), (2,0), ..., (3,ph23).
     """
     _check_alphas(alpha1, alpha2, gamma_t)
-    survive = math.exp(-0.5 * gamma_t)
-    emitted = math.sqrt(1.0 - math.exp(-gamma_t))
-    v = np.zeros((9, 3), dtype=complex)
-    v[0, 0] = 1.0
-    v[3, 1] = 1.0
-    v[6, 2] = survive
-    v[1, 2] = emitted * math.sqrt(alpha1)
-    v[5, 2] = emitted * math.sqrt(alpha2)
+    return _decay(alpha1, alpha2, gamma_t)
+
+
+def _decay(alpha1, alpha2, gamma_t) -> np.ndarray:
+    """Unchecked :func:`decay_isometry` over arrays of shape (...): (..., 9, 3)."""
+    alpha1, alpha2, gamma_t = np.broadcast_arrays(alpha1, alpha2, gamma_t)
+    emitted = np.sqrt(1.0 - np.exp(-gamma_t))
+    v = np.zeros(gamma_t.shape + (9, 3), dtype=complex)
+    v[..., 0, 0] = 1.0
+    v[..., 3, 1] = 1.0
+    v[..., 6, 2] = np.exp(-0.5 * gamma_t)
+    v[..., 1, 2] = emitted * np.sqrt(alpha1)
+    v[..., 5, 2] = emitted * np.sqrt(alpha2)
     return v
 
 
-def _isometry(params: LambdaParams) -> np.ndarray:
-    """W = V U, the pulse then the decay, as a (3 atom, 3 field, 2 input) array."""
-    u = pulse_propagator(params.theta, params.chi, params.phi)
-    v = decay_isometry(params.alpha1, params.alpha2, params.gamma_t)
-    return (v @ u).reshape(3, 3, 2)
+def _isometry(theta, chi, phi, gamma_t, alpha1) -> np.ndarray:
+    """W = V U, the pulse then the decay, as a (..., 3 atom, 3 field, 2 input) array."""
+    w = _decay(alpha1, 1.0 - np.asarray(alpha1), gamma_t) @ _pulse(theta, chi, phi)
+    return w.reshape(w.shape[:-2] + (3, 3, 2))
+
+
+def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray:
+    """Elementwise: True where ``LambdaParams`` accepts these values (delta_R = 0).
+
+    The same conditions as :class:`LambdaParams` and its angle check, over
+    broadcast arrays, for callers that validate many points at once.
+    """
+    with np.errstate(invalid="ignore"):
+        rates = np.isfinite(gamma13) & np.isfinite(gamma23)
+        rates &= (gamma13 >= 0.0) & (gamma23 >= 0.0) & (gamma13 + gamma23 > 0.0)
+        decay = ~np.isnan(gamma_t) & (gamma_t >= 0.0)
+        angles = np.isfinite(theta) & np.isfinite(phi)
+        angles &= np.isfinite(chi) & (chi >= 0.0) & (chi <= math.pi / 2)
+    return rates & decay & angles
 
 
 def channel_map(params: LambdaParams) -> ChannelMap:
@@ -157,23 +184,39 @@ def channel_map(params: LambdaParams) -> ChannelMap:
     Traces the atom out of W = V U:
     s[m, n][a, b] = sum_k W[k,a,m] * conj(W[k,b,n]).
     """
-    w = _isometry(params)
+    w = _isometry(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1)
     return ChannelMap(np.einsum("kam,kbn->mnab", w, w.conj()))
+
+
+def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
+    """Coherent information in bits at many parameter points at once.
+
+    ``theta, chi, phi, gamma_t, alpha1`` are arrays of one shape (N,) (or
+    any common shape) and ``rho`` holds the input density matrices, shape
+    (N, 2, 2) or one (2, 2) shared by every point.  The inputs are not
+    validated: callers check them first (:func:`params_mask`,
+    ``channel.density_mask``).  W rho W^dag is pure on atom x field x mirror
+    once rho is purified, so the entropy exchange equals the entropy of the
+    atom state Tr_field[W rho W^dag] and I_c = S(field) - S(atom), from two
+    batched 3x3 spectra.  Returns an array of shape (N,).
+    """
+    w = _isometry(theta, chi, phi, gamma_t, alpha1)
+    image = w @ np.asarray(rho)[..., None, :, :]
+    field = np.einsum("...kam,...kbm->...ab", image, w.conj())
+    atom = np.einsum("...kam,...lam->...kl", image, w.conj())
+    return entropy_bits(np.linalg.eigvalsh(field)) - entropy_bits(np.linalg.eigvalsh(atom))
 
 
 def coherent_information_at(params: LambdaParams, rho: DensityMatrix) -> float:
     """Coherent information in bits of the channel at ``params`` for input ``rho``.
 
-    W rho W^dag is pure on atom x field x mirror once rho is purified, so the
-    entropy exchange equals the entropy of the atom state Tr_field[W rho W^dag]
-    and I_c = S(field) - S(atom).  Agrees with
-    ``coherent_information(channel_map(params), rho)``, which goes through the
-    6x6 field-mirror state instead.
+    The one-point call of :func:`coherent_information_batch`.  Agrees with
+    ``coherent_information(channel_map(params), rho)``, which goes through
+    the 6x6 field-mirror state instead.
     """
-    w = _isometry(params)
-    field = np.einsum("kam,mn,kbn->ab", w, rho.matrix, w.conj())
-    atom = np.einsum("kam,mn,lan->kl", w, rho.matrix, w.conj())
-    return entropy_bits(np.linalg.eigvalsh(field)) - entropy_bits(np.linalg.eigvalsh(atom))
+    return float(coherent_information_batch(
+        params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, rho.matrix
+    ))
 
 
 def closed_form_channel(

@@ -11,7 +11,6 @@ from those parameters; otherwise the ``input_state`` field is used directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
@@ -19,8 +18,22 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import DensityMatrix, NotDensityMatrix, maximally_mixed, qubit_state
-from .lambda_system import InvalidAlphas, InvalidAngle, LambdaParams, coherent_information_at
+from .channel import (
+    DensityMatrix,
+    NotDensityMatrix,
+    density_mask,
+    maximally_mixed,
+    qubit_matrices,
+    qubit_state,
+)
+from .lambda_system import (
+    InvalidAlphas,
+    InvalidAngle,
+    LambdaParams,
+    coherent_information_at,
+    coherent_information_batch,
+    params_mask,
+)
 
 PARAM_NAMES = ("theta", "chi", "phi", "gamma_t", "rho11", "re_rho12", "im_rho12", "asym")
 STATE_NAMES = ("rho11", "re_rho12", "im_rho12")
@@ -40,6 +53,8 @@ MAX_FREE = 4
 COARSE_POINTS = 9
 SIMPLEX_TOL = 1e-8
 MAX_ITERATIONS = 2000
+# points per evaluation block: bounds the batched temporaries whatever the grid size
+BLOCK = 512
 
 InputState = Union[DensityMatrix, str]
 
@@ -144,9 +159,12 @@ class Optimum:
     iterations: int
 
 
-def _params_at(point: Mapping[str, float]) -> LambdaParams:
+def _point_objects(
+    point: Mapping[str, float], input_state: InputState, use_state_params: bool
+) -> tuple[LambdaParams, DensityMatrix]:
+    """The parameters and input state of one point; the constructors raise on bad values."""
     # asym r means decay rates in ratio r : 1 toward levels 1 and 2.
-    return LambdaParams(
+    params = LambdaParams(
         gamma13=point["asym"],
         gamma23=1.0,
         theta=point["theta"],
@@ -154,47 +172,87 @@ def _params_at(point: Mapping[str, float]) -> LambdaParams:
         phi=point["phi"],
         gamma_t=point["gamma_t"],
     )
-
-
-def _state_at(point: Mapping[str, float], input_state: InputState, use_state_params: bool) -> DensityMatrix:
     if use_state_params:
-        return qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
-    if isinstance(input_state, DensityMatrix):
-        return input_state
-    return maximally_mixed(2)
+        return params, qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
+    return params, _given_state(input_state)
 
 
-def _ic_at(point: Mapping[str, float], input_state: InputState, use_state_params: bool) -> float:
-    params = _params_at(point)
-    rho = _state_at(point, input_state, use_state_params)
-    return coherent_information_at(params, rho)
+def _given_state(input_state: InputState) -> DensityMatrix:
+    return input_state if isinstance(input_state, DensityMatrix) else maximally_mixed(2)
+
+
+def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
+    """Yield (slice, columns) over the row-major grid of ``axis_values``, BLOCK points at a time.
+
+    ``columns`` maps every parameter name to an array over the block's points:
+    the axis values at those points, ``base`` for the rest.
+    """
+    shape = tuple(len(values) for values in axis_values)
+    size = math.prod(shape)
+    for start in range(0, size, BLOCK):
+        where = slice(start, min(start + BLOCK, size))
+        index = np.unravel_index(np.arange(where.start, where.stop), shape)
+        columns = {name: np.full(len(index[0]), float(value)) for name, value in base.items()}
+        columns.update({name: values[i] for name, values, i in zip(names, axis_values, index)})
+        yield where, columns
+
+
+def _block_states(
+    columns: Mapping[str, np.ndarray], input_state: InputState, use_state_params: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input states (n, 2, 2) of a block and the mask of its physical points.
+
+    The mask holds the conditions of ``LambdaParams`` and ``qubit_state`` /
+    ``DensityMatrix`` with their tolerances, point by point.
+    """
+    valid = params_mask(
+        columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"]
+    )
+    if use_state_params:
+        rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+        return rho, valid & density_mask(rho)
+    return np.broadcast_to(_given_state(input_state).matrix, valid.shape + (2, 2)), valid
+
+
+def _block_ic(columns: Mapping[str, np.ndarray], rho: np.ndarray) -> np.ndarray:
+    asym = columns["asym"]
+    return coherent_information_batch(
+        columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"], asym / (asym + 1.0), rho
+    )
 
 
 def grid_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate I_c at every grid point, in row-major axis order."""
-    here = dict(DEFAULTS)
-    here.update(spec.fixed)
+    """Evaluate I_c at every grid point, in row-major axis order.
+
+    Points are evaluated BLOCK at a time.  The first unphysical point in grid
+    order raises: ``InvalidAngle``/``InvalidAlphas`` for its parameters, else
+    ``InvalidStateAtPoint`` naming the point.
+    """
+    base = dict(DEFAULTS)
+    base.update(spec.fixed)
     use_state = spec.uses_state_params()
+    names = [axis.name for axis in spec.axes]
     axis_values = [axis.values() for axis in spec.axes]
-    shape = tuple(len(vals) for vals in axis_values)
-    points = list(itertools.product(*axis_values))
+    shape = tuple(len(values) for values in axis_values)
 
-    flat = np.empty(len(points), dtype=float)
-    for i, grid_point in enumerate(points):
-        for axis, value in zip(spec.axes, grid_point):
-            here[axis.name] = float(value)
-        try:
-            flat[i] = _ic_at(here, spec.input_state, use_state)
-        except NotDensityMatrix as err:
-            at = ", ".join(f"{axis.name}={v:g}" for axis, v in zip(spec.axes, grid_point))
-            raise InvalidStateAtPoint(f"invalid input state at {at}: {err}") from err
+    flat = np.empty(math.prod(shape), dtype=float)
+    for where, columns in _grid_blocks(base, names, axis_values):
+        rho, valid = _block_states(columns, spec.input_state, use_state)
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            point = {name: float(column[bad]) for name, column in columns.items()}
+            try:
+                _point_objects(point, spec.input_state, use_state)
+            except NotDensityMatrix as err:
+                at = ", ".join(f"{name}={point[name]:g}" for name in names)
+                raise InvalidStateAtPoint(f"invalid input state at {at}: {err}") from err
+            raise RuntimeError(f"validity mask rejects {point}, which the constructors accept")
+        flat[where] = _block_ic(columns, rho)
 
-    values = flat.reshape(shape) if len(shape) > 1 else flat
     best = int(np.argmax(flat))
-    argmax = {
-        axis.name: float(points[best][j]) for j, axis in enumerate(spec.axes)
-    }
-    return SweepResult(spec=spec, values=values, argmax=argmax, max_value=float(flat[best]))
+    at = np.unravel_index(best, shape)
+    argmax = {name: float(values[i]) for name, values, i in zip(names, axis_values, at)}
+    return SweepResult(spec=spec, values=flat.reshape(shape), argmax=argmax, max_value=float(flat[best]))
 
 
 def maximize_ic(
@@ -205,15 +263,17 @@ def maximize_ic(
 ) -> Optimum:
     """Maximize I_c over 1-4 parameters with a simplex search.
 
-    A coarse grid (9 points per free parameter) seeds a bounded Nelder-Mead
-    refinement.  Parameter combinations that imply an unphysical input state
-    score -inf and are thereby rejected.  Degenerate bounds (lo == hi) pin
-    a parameter without consuming a search dimension.
+    A coarse grid (9 points per free parameter, evaluated BLOCK points at a
+    time) seeds a bounded Nelder-Mead refinement.  Parameter combinations
+    that imply an unphysical input state score -inf and are thereby
+    rejected.  Degenerate bounds (lo == hi) pin a parameter without
+    consuming a search dimension.
 
     Raises
     ------
     InvalidSpec
-        Malformed request (unknown names, missing or infinite bounds).
+        Malformed request (unknown names, missing or infinite bounds), or
+        no physical point on the coarse grid.
     NoConvergence
         Iteration cap hit; the best point so far rides on the exception.
     """
@@ -242,28 +302,34 @@ def maximize_ic(
 
     pinned = {name: bounds[name][0] for name in free if bounds[name][0] == bounds[name][1]}
     active = [name for name in free if name not in pinned]
+    base.update(pinned)
 
     def score(assignment: Mapping[str, float]) -> float:
         here = dict(base)
-        here.update(pinned)
         here.update(assignment)
         try:
-            return _ic_at(here, input_state, use_state)
+            params, rho = _point_objects(here, input_state, use_state)
         except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
             return -math.inf
+        return coherent_information_at(params, rho)
 
     if not active:
         value = score({})
         return Optimum(point=dict(pinned), value=value, iterations=0)
 
     coarse_axes = [np.linspace(*bounds[name], COARSE_POINTS) for name in active]
-    seed = None
-    seed_score = -math.inf
-    for combo in itertools.product(*coarse_axes):
-        trial = dict(zip(active, combo))
-        value = score(trial)
-        if value > seed_score:
-            seed, seed_score = combo, value
+    coarse = np.full(COARSE_POINTS ** len(active), -np.inf)
+    for where, columns in _grid_blocks(base, active, coarse_axes):
+        rho, valid = _block_states(columns, input_state, use_state)
+        if valid.any():
+            block = coarse[where]  # a view: writes land in coarse
+            kept = {name: column[valid] for name, column in columns.items()}
+            block[valid] = _block_ic(kept, rho[valid])
+    best = int(np.argmax(coarse))
+    if coarse[best] == -np.inf:
+        raise InvalidSpec(f"every coarse-grid point over {', '.join(active)} is unphysical")
+    at = np.unravel_index(best, (COARSE_POINTS,) * len(active))
+    seed = [axis[i] for axis, i in zip(coarse_axes, at)]
 
     def objective(x: np.ndarray) -> float:
         return -score(dict(zip(active, x)))

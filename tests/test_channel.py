@@ -54,6 +54,8 @@ def test_qubit_state_boundary():
     assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)))
     with pytest.raises(NotDensityMatrix):
         qubit_state(0.1, 0.5)  # |rho12|^2 > rho11 * rho22
+    with pytest.raises(NotDensityMatrix):
+        qubit_state(0.5, 1.7e308)  # m + m^H overflows: must not pass as NaN
 
 
 # ------------------------------------------------------------- purification

@@ -177,6 +177,18 @@ def test_optimize_single_parameter(capsys, tmp_path):
     assert int(lines["iterations"]) > 0
 
 
+def test_optimize_rejects_all_unphysical_bounds(capsys, tmp_path):
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({
+        "input_state": {"rho11": 0.1},
+        "optimize": {"free": ["re_rho12"], "bounds": {"re_rho12": [0.6, 0.9]}},
+    }))
+    code, out, err = run(capsys, "optimize", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "unphysical" in err
+
+
 def test_optimize_requires_free_section(capsys):
     code, _, err = run(capsys, "optimize")
     assert code == 2

@@ -18,6 +18,7 @@ from lambda_capacity.lambda_system import (
     channel_map,
     closed_form_channel,
     coherent_information_at,
+    coherent_information_batch,
     decay_isometry,
     pulse_propagator,
 )
@@ -273,10 +274,17 @@ def oracle_points():
 
 
 def test_evaluator_matches_purification_and_closed_form_routes():
-    for theta, chi, phi, gt, asym, rho in oracle_points():
+    points = oracle_points()
+    theta, chi, phi, gt, asym = (np.array(column) for column in zip(*(p[:5] for p in points)))
+    batch = coherent_information_batch(
+        theta, chi, phi, gt, asym / (asym + 1.0), np.array([p[5].matrix for p in points])
+    )
+    assert batch.shape == (len(points),)
+    for (theta, chi, phi, gt, asym, rho), ic_batch in zip(points, batch):
         params = LambdaParams(gamma13=asym, gamma23=1.0, theta=theta, chi=chi, phi=phi, gamma_t=gt)
-        ic = coherent_information_at(params, rho)
-        assert abs(ic - coherent_information(channel_map(params), rho)) < 1e-12
+        reference = coherent_information(channel_map(params), rho)
+        assert abs(coherent_information_at(params, rho) - reference) < 1e-12
+        assert abs(ic_batch - reference) < 1e-12
         # closed_form_channel is written out for chi = pi/2, phi = 0
         drive = LambdaParams(gamma13=asym, gamma23=1.0, theta=theta, gamma_t=gt)
         closed = closed_form_channel(theta, gt, drive.alpha1, drive.alpha2)

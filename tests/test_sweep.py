@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lambda_capacity.channel import NotDensityMatrix
+from lambda_capacity.lambda_system import InvalidAlphas, InvalidAngle
 from lambda_capacity.sweep import (
     Axis,
     DEFAULTS,
@@ -10,6 +12,9 @@ from lambda_capacity.sweep import (
     InvalidStateAtPoint,
     SweepSpec,
     UnknownFigure,
+    _block_states,
+    _grid_blocks,
+    _point_objects,
     figure_preset,
     grid_sweep,
     maximize_ic,
@@ -77,8 +82,70 @@ def test_two_axis_sweep_is_row_major():
 
 def test_sweep_rejects_unphysical_state_points():
     spec = SweepSpec(axes=(Axis("rho11", 0.0, 1.0, 5),), fixed={"re_rho12": 0.4})
-    with pytest.raises(InvalidStateAtPoint):
+    with pytest.raises(InvalidStateAtPoint, match=r"^invalid input state at rho11=0: negative eigenvalue"):
         grid_sweep(spec)
+    # rho11 = 0.5, 0.6 are physical with |rho12| = 0.47; 0.7 is the first that is not
+    spec = SweepSpec(
+        axes=(Axis("theta", 0.0, TWO_PI, 3), Axis("rho11", 0.5, 0.9, 5)), fixed={"re_rho12": 0.47}
+    )
+    with pytest.raises(InvalidStateAtPoint, match=r"^invalid input state at theta=0, rho11=0\.7: negative eigenvalue"):
+        grid_sweep(spec)
+
+
+def test_sweep_rejects_first_unphysical_parameter_point():
+    spec = SweepSpec(axes=(Axis("theta", 0.0, TWO_PI, 3), Axis("chi", 0.0, 2.0, 5)))
+    with pytest.raises(InvalidAngle, match=r"^chi must lie in \[0, pi/2\], got 2\.0$"):
+        grid_sweep(spec)
+    spec = SweepSpec(axes=(Axis("chi", 0.0, 1.0, 4),), fixed={"theta": math.inf})
+    with pytest.raises(InvalidAngle, match=r"^theta and phi must be finite, got \(inf, 0\.0\)$"):
+        grid_sweep(spec)
+
+
+def _scalar_accepts(point):
+    try:
+        _point_objects(point, "maximally_mixed", True)
+    except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
+        return False
+    return True
+
+
+def test_block_validity_mask_matches_scalar_constructors():
+    rng = np.random.default_rng(47)
+    n = 600
+    half_pi = math.pi / 2
+
+    def sometimes(typical, edges):
+        return np.where(rng.random(n) < 0.15, rng.choice(edges, n), typical)
+
+    rho11 = sometimes(rng.uniform(0.01, 0.99, n), [0.0, 1.0, -1e-9, 1.0 + 1e-9, math.nan])
+    # |rho12|^2 = rho11 (1 - rho11) + excess: just inside, on and just outside the boundary
+    excess = rng.choice([-1e-9, -1e-10, 0.0, 1e-10, 1e-9], n)
+    radius = np.sqrt(np.clip(rho11 * (1.0 - rho11) + excess, 0.0, None))
+    angle = rng.uniform(0.0, TWO_PI, n)
+    columns = {
+        "theta": sometimes(rng.uniform(0.0, TWO_PI, n), [math.inf, -math.inf, math.nan, 0.0]),
+        "chi": sometimes(
+            rng.uniform(0.0, half_pi, n),
+            [0.0, half_pi, np.nextafter(half_pi, 4.0), -1e-300, half_pi + 1e-12, math.nan],
+        ),
+        "phi": sometimes(rng.uniform(-math.pi, math.pi, n), [math.inf, math.nan]),
+        "gamma_t": sometimes(rng.uniform(0.0, 8.0, n), [0.0, math.inf, -1e-12, -1.0, math.nan]),
+        "asym": sometimes(rng.uniform(0.0, 2.0, n), [0.0, -1e-12, -1.0, math.inf, math.nan]),
+        "rho11": rho11,
+        "re_rho12": sometimes(radius * np.cos(angle), [1.7e308, math.inf]),
+        "im_rho12": radius * np.sin(angle),
+    }
+    _, valid = _block_states(columns, "maximally_mixed", True)
+    scalar = [_scalar_accepts({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
+    assert valid.tolist() == scalar
+    assert 0.2 < np.mean(scalar) < 0.8
+
+    # a non-finite theta given as a fixed value rejects every point of the grid
+    base = dict(DEFAULTS, theta=math.inf, rho11=0.3)
+    for _, block in _grid_blocks(base, ["chi"], [np.linspace(0.0, half_pi, 5)]):
+        _, valid = _block_states(block, "maximally_mixed", True)
+        assert not valid.any()
+        assert not any(_scalar_accepts({k: float(v[i]) for k, v in block.items()}) for i in range(5))
 
 
 def test_diagonal_pure_inputs_never_gain_information():
@@ -129,6 +196,12 @@ def test_maximize_rejects_bad_requests():
         maximize_ic(["bogus"], {"bogus": (0.0, 1.0)})
     with pytest.raises(InvalidSpec):
         maximize_ic(["theta"], {"theta": (0.0, 1.0)}, fixed={"theta": 0.5})
+
+
+def test_maximize_rejects_all_unphysical_coarse_grid():
+    # rho11 = 0.1 allows |rho12| <= 0.3: no point of [0.6, 0.9] is a state
+    with pytest.raises(InvalidSpec, match="every coarse-grid point over re_rho12 is unphysical"):
+        maximize_ic(["re_rho12"], {"re_rho12": (0.6, 0.9)}, fixed={"rho11": 0.1})
 
 
 def test_maximize_rejects_unphysical_state_interior():
