@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 config error, 3 numeric or I/O failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -274,18 +275,14 @@ def _emit(text: str, output: str | None) -> None:
 
 def format_csv(result: SweepResult) -> str:
     names = [axis.name for axis in result.spec.axes]
-    lines = [",".join(names + ["Ic"])]
-    grids = [axis.values() for axis in result.spec.axes]
-    if len(grids) == 1:
-        for x, v in zip(grids[0], result.values):
-            lines.append(f"{_fmt(x)},{_fmt(v)}")
-    else:
-        for i, x in enumerate(grids[0]):
-            for j, y in enumerate(grids[1]):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(result.values[i, j])}")
+    # each axis value is formatted once and reused on every row it labels
+    labels = [[_fmt(x) for x in axis.values().tolist()] for axis in result.spec.axes]
+    rows = (
+        ",".join(point) + "," + _fmt(v)
+        for point, v in zip(itertools.product(*labels), result.values.ravel().tolist())
+    )
     at = ", ".join(f"{name}={_fmt(result.argmax[name])}" for name in names)
-    lines.append(f"# max Ic={_fmt(result.max_value)} at {at}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(names + ["Ic"]), *rows, f"# max Ic={_fmt(result.max_value)} at {at}"]) + "\n"
 
 
 def _jsonable(x: float):

@@ -10,9 +10,25 @@ which this module builds in transfer-operator form, both constructively from
 the pulse and decay isometries and from an explicit closed-form table.
 
 The atom purifies the field together with a mirror of the input, so the
-coherent information of a point needs only two 3x3 states of the composed
-isometry W = V U: the field state and the atom state.
-:func:`coherent_information_batch` evaluates many points at once;
+coherent information of a point needs only two 3x3 states: the field state
+and the atom state, whose entropy is the entropy exchange.  Both follow from
+G = U rho U^dag, the atom state right after the pulse.  With the bright
+state b = (e^{-i phi} sin chi, cos chi), k = cos(theta/2) - 1 and
+q = b^dag rho b, its blocks are G_gg = rho + k (b (rho b)^dag + (rho b) b^dag)
++ k^2 q b b^dag, G_g3 = i sin(theta/2) (rho b + k q b) and
+G_33 = sin^2(theta/2) q.  Decay keeps a fraction s^2 = e^{-gamma_t} of G_33
+in |3> and moves E = 1 - s^2 of it to the ground levels and the photon
+modes:
+
+* atom state: G with row and column 3 scaled by s, plus alpha1 E G_33 on
+  |1><1| and alpha2 E G_33 on |2><2|;
+* field state: an arrow matrix with diagonal
+  (G_11 + G_22 + s^2 G_33, alpha1 E G_33, alpha2 E G_33) and vacuum-photon
+  entries sqrt(alpha_j E) G_j3.  Its ph13-ph23 entry is zero, so a diagonal
+  phase change makes the vacuum-photon entries |G_j3| and the matrix real
+  without moving its spectrum, and a real eigensolver suffices.
+
+:func:`coherent_information_batch` evaluates many points at once this way;
 :func:`coherent_information_at` is its one-point call.
 """
 
@@ -195,16 +211,61 @@ def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndar
     any common shape) and ``rho`` holds the input density matrices, shape
     (N, 2, 2) or one (2, 2) shared by every point.  The inputs are not
     validated: callers check them first (:func:`params_mask`,
-    ``channel.density_mask``).  W rho W^dag is pure on atom x field x mirror
-    once rho is purified, so the entropy exchange equals the entropy of the
-    atom state Tr_field[W rho W^dag] and I_c = S(field) - S(atom), from two
-    batched 3x3 spectra.  Returns an array of shape (N,).
+    ``channel.density_mask``).  Works from G = U rho U^dag, the atom state
+    right after the pulse; see the module docstring.  Returns an array of
+    shape (N,).
     """
-    w = _isometry(theta, chi, phi, gamma_t, alpha1)
-    image = w @ np.asarray(rho)[..., None, :, :]
-    field = np.einsum("...kam,...kbm->...ab", image, w.conj())
-    atom = np.einsum("...kam,...lam->...kl", image, w.conj())
-    return entropy_bits(np.linalg.eigvalsh(field)) - entropy_bits(np.linalg.eigvalsh(atom))
+    rho = np.asarray(rho)
+    r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+    # bright state b = (b1, b2); b2 is real
+    b1 = np.exp(-1j * phi) * np.sin(chi)
+    b2 = np.cos(chi)
+    half = 0.5 * theta
+    k = np.cos(half) - 1.0
+    sine = np.sin(half)
+    # v = rho b, q = b^dag rho b, c = v + (k q / 2) b, d = v + k q b
+    v1 = r11 * b1 + r12 * b2
+    v2 = r12.conjugate() * b1 + r22 * b2
+    q = (b1.conjugate() * v1).real + b2 * v2.real
+    kq = k * q
+    c1 = v1 + 0.5 * kq * b1
+    c2 = v2 + 0.5 * kq * b2
+    d1 = v1 + kq * b1
+    d2 = v2 + kq * b2
+    # G_gg = rho + k (b c^dag + c b^dag), G_g3 = i sin(theta/2) d, G_33 = sin^2(theta/2) q
+    g11 = r11 + 2.0 * k * (b1 * c1.conjugate()).real
+    g22 = r22 + 2.0 * k * b2 * c2.real
+    g12 = r12 + k * (b1 * c2.conjugate() + c1 * b2)
+    g33 = sine * sine * q
+
+    survive = np.exp(-0.5 * gamma_t)
+    emitted = -np.expm1(-gamma_t)
+    to1 = alpha1 * emitted
+    to2 = (1.0 - alpha1) * emitted
+    e1, e2, kept = to1 * g33, to2 * g33, survive * survive * g33
+    shape = np.shape(e1)
+    # eigvalsh reads the upper triangle only (UPLO="U")
+    atom = np.zeros(shape + (3, 3), dtype=complex)
+    atom[..., 0, 0] = g11 + e1
+    atom[..., 1, 1] = g22 + e2
+    atom[..., 2, 2] = kept
+    atom[..., 0, 1] = g12
+    scale = 1j * sine * survive
+    atom[..., 0, 2] = scale * d1
+    atom[..., 1, 2] = scale * d2
+    field = np.zeros(shape + (3, 3))
+    field[..., 0, 0] = g11 + g22 + kept
+    field[..., 1, 1] = e1
+    field[..., 2, 2] = e2
+    magnitude = np.abs(sine)
+    field[..., 0, 1] = np.sqrt(to1) * magnitude * np.abs(d1)
+    field[..., 0, 2] = np.sqrt(to2) * magnitude * np.abs(d2)
+
+    spectra = np.empty((2,) + shape + (3,))
+    spectra[0] = np.linalg.eigvalsh(field, UPLO="U")
+    spectra[1] = np.linalg.eigvalsh(atom, UPLO="U")
+    entropy = entropy_bits(spectra)
+    return entropy[0] - entropy[1]
 
 
 def coherent_information_at(params: LambdaParams, rho: DensityMatrix) -> float:

@@ -272,8 +272,9 @@ def maximize_ic(
     Raises
     ------
     InvalidSpec
-        Malformed request (unknown names, missing or infinite bounds), or
-        no physical point on the coarse grid.
+        Malformed request (unknown names, missing or infinite bounds), no
+        physical point on the coarse grid, or every free parameter pinned
+        at an unphysical point.
     NoConvergence
         Iteration cap hit; the best point so far rides on the exception.
     """
@@ -315,6 +316,9 @@ def maximize_ic(
 
     if not active:
         value = score({})
+        if value == -math.inf:
+            at = ", ".join(f"{name}={pinned[name]:g}" for name in free)
+            raise InvalidSpec(f"every free parameter is pinned, at the unphysical point {at}")
         return Optimum(point=dict(pinned), value=value, iterations=0)
 
     coarse_axes = [np.linspace(*bounds[name], COARSE_POINTS) for name in active]

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from lambda_capacity import cli, sweep
+from lambda_capacity.channel import ChannelMap
 from lambda_capacity.cli import main
+from lambda_capacity.lambda_system import channel_map
 
 FULL_TURN = 2.0 * math.pi
 
@@ -74,6 +77,21 @@ def test_validate_passes_for_valid_params(capsys, tmp_path):
     text = target.read_text()
     assert "result                 PASS" in text
     assert "trace deviation" in text
+
+
+def test_validate_failure_exits_5(capsys, monkeypatch):
+    # half of every transfer operator: positive and Hermitian, but the trace is 1/2
+    monkeypatch.setattr(cli, "channel_map", lambda params: ChannelMap(channel_map(params).s * 0.5))
+    code, out, err = run(capsys, "validate", "--theta", "1.1", "--chi", "0.4")
+    assert code == 5
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "trace deviation        5.000e-01"
+    assert lines[1] == "hermiticity deviation  0.000e+00"
+    assert lines[2].startswith("min Choi eigenvalue    ")
+    assert float(lines[2].split()[-1]) >= -1e-8
+    assert lines[3] == "result                 FAIL"
+    assert len(lines) == 4
 
 
 def test_sweep_single_axis_csv(capsys, tmp_path):
@@ -187,6 +205,31 @@ def test_optimize_rejects_all_unphysical_bounds(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "unphysical" in err
+
+
+def test_optimize_rejects_unphysical_pinned_point(capsys, tmp_path):
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({
+        "input_state": {"rho11": 0.1},
+        "optimize": {"free": ["re_rho12"], "bounds": {"re_rho12": [0.6, 0.6]}},
+    }))
+    code, out, err = run(capsys, "optimize", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err == "error: every free parameter is pinned, at the unphysical point re_rho12=0.6\n"
+
+
+def test_optimize_iteration_cap_exits_4_with_best_point(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "MAX_ITERATIONS", 3)
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({
+        "optimize": {"free": ["theta"], "bounds": {"theta": [0.0, FULL_TURN]}},
+    }))
+    code, out, err = run(capsys, "optimize", "--config", str(config))
+    assert code == 4
+    assert err == "error: simplex search stopped after 3 iterations without converging\n"
+    # the coarse seed already sits on the optimum theta = pi
+    assert out == "theta*             3.141593\nI_c*               0.688722\niterations         3\n"
 
 
 def test_optimize_requires_free_section(capsys):

@@ -204,6 +204,14 @@ def test_maximize_rejects_all_unphysical_coarse_grid():
         maximize_ic(["re_rho12"], {"re_rho12": (0.6, 0.9)}, fixed={"rho11": 0.1})
 
 
+def test_maximize_rejects_unphysical_pinned_point():
+    # lo == hi pins re_rho12 at 0.6, outside the disc |rho12| <= 0.3 that rho11 = 0.1 allows
+    with pytest.raises(InvalidSpec, match=r"pinned, at the unphysical point re_rho12=0\.6$"):
+        maximize_ic(["re_rho12"], {"re_rho12": (0.6, 0.6)}, fixed={"rho11": 0.1})
+    with pytest.raises(InvalidSpec, match=r"point theta=1, chi=2$"):
+        maximize_ic(["theta", "chi"], {"theta": (1.0, 1.0), "chi": (2.0, 2.0)})
+
+
 def test_maximize_rejects_unphysical_state_interior():
     # with rho11 pinned at 0.1 any |coherence| above 0.3 is unphysical;
     # the search must stay inside the feasible disc
