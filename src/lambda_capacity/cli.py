@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 config error, 3 numeric or I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -276,17 +277,29 @@ def _emit(text: str, output: str | None) -> None:
 def format_csv(result: SweepResult) -> str:
     names = [axis.name for axis in result.spec.axes]
     # each axis value is formatted once and reused on every row it labels
-    labels = [[_fmt(x) for x in axis.values().tolist()] for axis in result.spec.axes]
-    rows = (
-        ",".join(point) + "," + _fmt(v)
-        for point, v in zip(itertools.product(*labels), result.values.ravel().tolist())
-    )
+    labels = [[_fmt(x) + "," for x in axis.values().tolist()] for axis in result.spec.axes]
+    prefixes = map("".join, itertools.product(*labels))
+    values = result.values.ravel().tolist()
+    # every row in one formatting operation, then _fmt's sign rule on the value column
+    body = ("%s%.6f\n" * len(values)) % tuple(itertools.chain.from_iterable(zip(prefixes, values)))
+    body = body.replace(",-0.000000\n", ",0.000000\n")
     at = ", ".join(f"{name}={_fmt(result.argmax[name])}" for name in names)
-    return "\n".join([",".join(names + ["Ic"]), *rows, f"# max Ic={_fmt(result.max_value)} at {at}"]) + "\n"
+    return ",".join(names + ["Ic"]) + "\n" + body + f"# max Ic={_fmt(result.max_value)} at {at}\n"
 
 
 def _jsonable(x: float):
     return "inf" if math.isinf(x) else x
+
+
+def _json_list(items, depth: int) -> str:
+    """Encoded JSON items as a list laid out the way ``json.dumps(indent=2)`` lays out one ``depth`` levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_row(row: list, depth: int) -> str:
+    # without indent json.dumps runs the C encoder, which separates items with ", "
+    return _json_list(json.dumps(row)[1:-1].split(", "), depth)
 
 
 def format_grid_json(result: SweepResult) -> str:
@@ -295,13 +308,19 @@ def format_grid_json(result: SweepResult) -> str:
             {"name": axis.name, "values": [_jsonable(v) for v in axis.values().tolist()]}
             for axis in result.spec.axes
         ],
-        "values": result.values.tolist(),
+        "values": None,  # a placeholder: the grid is encoded row by row below
         "max": {
             "Ic": result.max_value,
             "at": {k: _jsonable(v) for k, v in result.argmax.items()},
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    values = result.values.tolist()
+    if result.values.ndim == 1:
+        grid = _json_row(values, 1)
+    else:
+        grid = _json_list((_json_row(row, 2) for row in values), 1)
+    # no axis has null values, so the first "values": null is the placeholder
+    return json.dumps(doc, indent=2).replace('"values": null', '"values": ' + grid, 1) + "\n"
 
 
 def run_compute(cfg: RunConfig) -> int:
@@ -405,6 +424,7 @@ def run_validate(cfg: RunConfig) -> int:
     return EXIT_OK if report.passes else EXIT_VALIDATION
 
 
+@functools.cache  # parsing leaves the parser as it was, so one parser serves every call
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambda-capacity",
@@ -447,6 +467,7 @@ _RUNNERS = {
 
 _CONFIG_ERRORS = (
     ConfigError,
+    NotDensityMatrix,
     InvalidSpec,
     InvalidStateAtPoint,
     UnknownFigure,
@@ -478,9 +499,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except _CONFIG_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NotDensityMatrix, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -163,8 +163,12 @@ def _point_objects(
     point: Mapping[str, float], input_state: InputState, use_state_params: bool
 ) -> tuple[LambdaParams, DensityMatrix]:
     """The parameters and input state of one point; the constructors raise on bad values."""
+    return _point_params(point), _point_state(point, input_state, use_state_params)
+
+
+def _point_params(point: Mapping[str, float]) -> LambdaParams:
     # asym r means decay rates in ratio r : 1 toward levels 1 and 2.
-    params = LambdaParams(
+    return LambdaParams(
         gamma13=point["asym"],
         gamma23=1.0,
         theta=point["theta"],
@@ -172,46 +176,73 @@ def _point_objects(
         phi=point["phi"],
         gamma_t=point["gamma_t"],
     )
+
+
+def _point_state(point: Mapping[str, float], input_state: InputState, use_state_params: bool) -> DensityMatrix:
     if use_state_params:
-        return params, qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
-    return params, _given_state(input_state)
+        return qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
+    return _given_state(input_state)
 
 
 def _given_state(input_state: InputState) -> DensityMatrix:
     return input_state if isinstance(input_state, DensityMatrix) else maximally_mixed(2)
 
 
-def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
-    """Yield (slice, columns) over the row-major grid of ``axis_values``, BLOCK points at a time.
+def _states(
+    columns: Mapping[str, np.ndarray | float], input_state: InputState, use_state_params: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input states (..., 2, 2) of state columns of one common shape, and the mask of the physical ones.
+
+    The mask holds the conditions of ``qubit_state`` / ``DensityMatrix``
+    with their tolerances, state by state.
+    """
+    if use_state_params:
+        rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+        return rho, density_mask(rho)
+    return _given_state(input_state).matrix, np.True_
+
+
+def _params_valid(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The conditions of ``LambdaParams``, point by point."""
+    return params_mask(
+        columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"]
+    )
+
+
+def _grid_blocks(
+    base: Mapping[str, float],
+    names: Sequence[str],
+    axis_values: Sequence[np.ndarray],
+    input_state: InputState,
+    use_state_params: bool,
+):
+    """Yield (slice, columns, rho, valid) over the row-major grid of ``axis_values``, BLOCK points at a time.
 
     ``columns`` maps every parameter name to an array over the block's points:
-    the axis values at those points, ``base`` for the rest.
+    the axis values at those points, ``base`` for the rest.  ``rho`` (n, 2, 2)
+    holds their input states and ``valid`` marks the physical points.  A
+    state depends on the state axes only, so each distinct state is built and
+    checked once, on the sub-grid of those axes (one matrix when none of them
+    varies), before the first block.
     """
     shape = tuple(len(values) for values in axis_values)
+    # each axis as an array of length 1 along every other axis
+    along = {
+        name: values.reshape([-1 if j == k else 1 for j in range(len(shape))])
+        for k, (name, values) in enumerate(zip(names, axis_values))
+    }
+    rho, state_valid = _states(
+        {name: along.get(name, base[name]) for name in STATE_NAMES}, input_state, use_state_params
+    )
+    rho = np.broadcast_to(rho, shape + (2, 2))
+    state_valid = np.broadcast_to(state_valid, shape)
     size = math.prod(shape)
     for start in range(0, size, BLOCK):
         where = slice(start, min(start + BLOCK, size))
         index = np.unravel_index(np.arange(where.start, where.stop), shape)
         columns = {name: np.full(len(index[0]), float(value)) for name, value in base.items()}
         columns.update({name: values[i] for name, values, i in zip(names, axis_values, index)})
-        yield where, columns
-
-
-def _block_states(
-    columns: Mapping[str, np.ndarray], input_state: InputState, use_state_params: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Input states (n, 2, 2) of a block and the mask of its physical points.
-
-    The mask holds the conditions of ``LambdaParams`` and ``qubit_state`` /
-    ``DensityMatrix`` with their tolerances, point by point.
-    """
-    valid = params_mask(
-        columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"]
-    )
-    if use_state_params:
-        rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
-        return rho, valid & density_mask(rho)
-    return np.broadcast_to(_given_state(input_state).matrix, valid.shape + (2, 2)), valid
+        yield where, columns, rho[index], _params_valid(columns) & state_valid[index]
 
 
 def _block_ic(columns: Mapping[str, np.ndarray], rho: np.ndarray) -> np.ndarray:
@@ -236,8 +267,7 @@ def grid_sweep(spec: SweepSpec) -> SweepResult:
     shape = tuple(len(values) for values in axis_values)
 
     flat = np.empty(math.prod(shape), dtype=float)
-    for where, columns in _grid_blocks(base, names, axis_values):
-        rho, valid = _block_states(columns, spec.input_state, use_state)
+    for where, columns, rho, valid in _grid_blocks(base, names, axis_values, spec.input_state, use_state):
         if not valid.all():
             bad = int(np.argmin(valid))
             point = {name: float(column[bad]) for name, column in columns.items()}
@@ -305,11 +335,20 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
+    # with no active state parameter every point shares one input state: build it once
+    shared = None
+    if not set(active) & set(STATE_NAMES):
+        try:
+            shared = _point_state(base, input_state, use_state)
+        except NotDensityMatrix:
+            pass  # every point is unphysical; score() raises and scores it -inf
+
     def score(assignment: Mapping[str, float]) -> float:
         here = dict(base)
         here.update(assignment)
         try:
-            params, rho = _point_objects(here, input_state, use_state)
+            params = _point_params(here)
+            rho = shared if shared is not None else _point_state(here, input_state, use_state)
         except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
             return -math.inf
         return coherent_information_at(params, rho)
@@ -323,8 +362,7 @@ def maximize_ic(
 
     coarse_axes = [np.linspace(*bounds[name], COARSE_POINTS) for name in active]
     coarse = np.full(COARSE_POINTS ** len(active), -np.inf)
-    for where, columns in _grid_blocks(base, active, coarse_axes):
-        rho, valid = _block_states(columns, input_state, use_state)
+    for where, columns, rho, valid in _grid_blocks(base, active, coarse_axes, input_state, use_state):
         if valid.any():
             block = coarse[where]  # a view: writes land in coarse
             kept = {name: column[valid] for name, column in columns.items()}

@@ -48,6 +48,14 @@ def test_compute_rejects_bad_angle(capsys):
     assert "chi" in err
 
 
+def test_compute_rejects_unphysical_state(capsys):
+    # |rho12| = 0.6 lies outside the disc |rho12| <= 0.3 that rho11 = 0.1 allows
+    code, out, err = run(capsys, "compute", "--rho11", "0.1", "--re-rho12", "0.6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: negative eigenvalue")
+
+
 def test_compute_rejects_bad_gamma_t(capsys):
     code, _, err = run(capsys, "compute", "--gamma-t", "soon")
     assert code == 2
@@ -261,3 +269,34 @@ def test_dumped_config_reproduces_output(capsys, tmp_path):
     code, replayed, _ = run(capsys, "compute", "--config", str(dump))
     assert code == 0
     assert direct == replayed
+
+
+def test_cached_parser_carries_no_state(capsys, tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "sweep": {"axes": [{"name": "theta", "start": 0.0, "stop": FULL_TURN, "points": 3}]},
+    }))
+    calls = [
+        ["compute", "--theta", "0"],
+        ["compute"],
+        ["compute", "--help"],
+        ["compute", "--rho11", "0.3"],
+        ["compute", "--theta"],
+        ["compute", "--chi", "0.4", "--format", "json"],
+        ["figure", "--figure", "fig1a"],
+        ["compute"],
+        ["sweep", "--config", str(config), "--format", "json"],
+        ["--help"],
+        ["compute", "--bogus"],
+        ["validate"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._make_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cli._make_parser() is cli._make_parser()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    # the call without --theta prints the default report, not the theta = 0 one
+    assert fresh[1][1] == fresh[7][1]
+    assert "I_c                0.688722" in fresh[1][1]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0]

@@ -1,4 +1,6 @@
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +293,36 @@ def test_evaluator_matches_purification_and_closed_form_routes():
         ic_drive = coherent_information_at(drive, rho)
         assert abs(ic_drive - coherent_information(closed, rho)) < 1e-12
         assert abs(ic_drive - coherent_information(channel_map(drive), rho)) < 1e-12
+
+
+def _load_benchmark_reference():
+    """The benchmark's numpy-only evaluator, run from its source file, which it shares with no package code.
+
+    Executed from source rather than imported, so that no bytecode cache is written next to it.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    module = types.ModuleType("benchmark_reference")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_evaluator_matches_independent_reference_for_general_pulses():
+    reference = _load_benchmark_reference()
+    rng = np.random.default_rng(2029)
+    n = 200
+    theta = rng.uniform(0.0, 4.0 * math.pi, n)
+    chi = rng.uniform(0.0, math.pi / 2, n)
+    phi = rng.uniform(-math.pi, math.pi, n)
+    gamma_t = rng.choice([0.0, math.inf, 0.7, 3.1], n)
+    gamma_t[gamma_t == 0.7] = rng.uniform(0.05, 8.0, int(np.sum(gamma_t == 0.7)))
+    asym = rng.uniform(0.0, 2.0, n)
+    rho11 = rng.uniform(0.0, 1.0, n)
+    radius = np.sqrt(rho11 * (1.0 - rho11)) * rng.uniform(0.0, 1.0, n)
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    rho = reference.state(rho11, radius * np.cos(angle), radius * np.sin(angle))
+    assert {0.0, math.inf} <= set(gamma_t.tolist())
+    assert np.iscomplexobj(rho) and np.abs(rho[:, 0, 1].imag).max() > 0.1
+
+    ours = coherent_information_batch(theta, chi, phi, gamma_t, asym / (asym + 1.0), rho)
+    theirs = reference.evaluate(theta, chi, phi, gamma_t, asym, rho)["Ic"]
+    assert np.abs(ours - theirs).max() < 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lambda_capacity.channel import NotDensityMatrix
+from lambda_capacity.channel import NotDensityMatrix, density_mask, qubit_matrices
 from lambda_capacity.lambda_system import InvalidAlphas, InvalidAngle
 from lambda_capacity.sweep import (
     Axis,
@@ -12,9 +12,10 @@ from lambda_capacity.sweep import (
     InvalidStateAtPoint,
     SweepSpec,
     UnknownFigure,
-    _block_states,
     _grid_blocks,
+    _params_valid,
     _point_objects,
+    _states,
     figure_preset,
     grid_sweep,
     maximize_ic,
@@ -135,17 +136,73 @@ def test_block_validity_mask_matches_scalar_constructors():
         "re_rho12": sometimes(radius * np.cos(angle), [1.7e308, math.inf]),
         "im_rho12": radius * np.sin(angle),
     }
-    _, valid = _block_states(columns, "maximally_mixed", True)
+    _, state_valid = _states(columns, "maximally_mixed", True)
+    valid = _params_valid(columns) & state_valid
     scalar = [_scalar_accepts({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
     assert valid.tolist() == scalar
     assert 0.2 < np.mean(scalar) < 0.8
 
     # a non-finite theta given as a fixed value rejects every point of the grid
     base = dict(DEFAULTS, theta=math.inf, rho11=0.3)
-    for _, block in _grid_blocks(base, ["chi"], [np.linspace(0.0, half_pi, 5)]):
-        _, valid = _block_states(block, "maximally_mixed", True)
+    for _, block, _, valid in _grid_blocks(base, ["chi"], [np.linspace(0.0, half_pi, 5)], "maximally_mixed", True):
         assert not valid.any()
         assert not any(_scalar_accepts({k: float(v[i]) for k, v in block.items()}) for i in range(5))
+
+
+def _boundary_coherences(rng, rho11_values, count):
+    """Coherence magnitudes at |rho12|^2 = rho11 (1 - rho11) plus -1e-9 ... 1e-9, in random order."""
+    excess = np.array([-1e-9, -1e-10, 0.0, 1e-10, 1e-9])
+    on = np.sqrt(np.clip((rho11_values * (1.0 - rho11_values))[:, None] + excess, 0.0, None))
+    return rng.permutation(np.concatenate([on.ravel(), rng.uniform(-0.6, 0.6, count)]))
+
+
+def test_hoisted_state_mask_matches_per_point_mask():
+    rng = np.random.default_rng(71)
+    half_pi = math.pi / 2
+    rho11 = rng.permutation(np.concatenate([[0.0, 1.0, -1e-9, 1.0 + 1e-9], rng.uniform(0.05, 0.95, 5)]))
+    states = rho11[(rho11 >= 0.0) & (rho11 <= 1.0)]
+    coherence = _boundary_coherences(rng, states, 4)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 7)
+    chi = np.concatenate([rng.uniform(0.0, half_pi, 5), [half_pi + 1e-12, -1e-300]])
+    asym = np.array([0.0, 0.5, -1e-12, 2.0])
+    fixed_rho11 = float(states[(states > 0.0) & (states < 1.0)][0])
+    grids = [
+        # (fixed values, axes): 1-axis, 2-axis and 3- and 4-parameter coarse grids
+        ({"rho11": fixed_rho11}, {"re_rho12": coherence}),
+        ({"rho11": 0.1, "re_rho12": 0.6}, {"theta": theta}),
+        ({"rho11": 0.1, "re_rho12": 0.3}, {"theta": theta}),
+        ({"rho11": 0.25}, {"theta": theta, "rho11": rho11}),
+        ({"rho11": fixed_rho11}, {"im_rho12": coherence, "chi": chi}),
+        ({}, {"rho11": rho11, "re_rho12": coherence}),
+        ({"im_rho12": 0.05}, {"rho11": rho11, "theta": theta[:4], "re_rho12": coherence[:9]}),
+        ({}, {"theta": theta[:3], "re_rho12": coherence[:9], "asym": asym, "im_rho12": coherence[-9:]}),
+        ({"rho11": fixed_rho11, "phi": 0.3}, {"chi": chi, "theta": theta, "asym": asym, "gamma_t": [0.0, 2.0, math.inf]}),
+    ]
+    mixed = []
+    for fixed, axes in grids:
+        base = dict(DEFAULTS, **fixed)
+        names, values = list(axes), [np.asarray(v, dtype=float) for v in axes.values()]
+        seen, physical = 0, 0
+        for where, columns, rho, valid in _grid_blocks(base, names, values, "maximally_mixed", True):
+            per_point = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+            assert np.array_equal(rho, per_point)
+            assert valid.tolist() == (_params_valid(columns) & density_mask(per_point)).tolist()
+            seen += where.stop - where.start
+            physical += int(valid.sum())
+        assert seen == math.prod(len(v) for v in values)
+        mixed.append(0 < physical < seen)
+    # the fixed states |rho12| = 0.6 and 0.3 at rho11 = 0.1 lie outside and on the boundary
+    assert mixed == [True, False, False, True, True, True, True, True, True]
+
+    # with no state parameter the given state serves every point
+    for _, columns, rho, valid in _grid_blocks(DEFAULTS, ["theta", "chi"], [theta, chi], "maximally_mixed", False):
+        assert np.array_equal(rho, np.broadcast_to(np.eye(2) / 2, rho.shape))
+        assert valid.tolist() == _params_valid(columns).tolist()
+
+
+def test_maximize_with_fixed_unphysical_state_rejects_every_point():
+    with pytest.raises(InvalidSpec, match="every coarse-grid point over theta is unphysical"):
+        maximize_ic(["theta"], {"theta": (0.0, TWO_PI)}, fixed={"rho11": 0.1, "re_rho12": 0.6})
 
 
 def test_diagonal_pure_inputs_never_gain_information():
