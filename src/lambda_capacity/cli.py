@@ -22,19 +22,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import (
-    DensityMatrix,
-    NotDensityMatrix,
-    OutputNotDensity,
-    apply_channel,
-    joint_output,
-    maximally_mixed,
-    qubit_state,
-    validate_channel,
-)
-from .lambda_system import InvalidAlphas, InvalidAngle, LambdaParams, channel_map
+from .channel import NotDensityMatrix, OutputNotDensity, apply_channel, joint_output, validate_channel
+from .lambda_system import InvalidAlphas, InvalidAngle, channel_map
 from .linalg import ConvergenceFailure, NegativeProbability, NotHermitian, NotNormalized, NotSquare
 from .sweep import (
+    DEFAULTS,
+    PARAM_NAMES,
+    STATE_NAMES,
     Axis,
     InvalidSpec,
     InvalidStateAtPoint,
@@ -42,6 +36,8 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     UnknownFigure,
+    _point_objects,
+    _point_params,
     figure_preset,
     grid_sweep,
     maximize_ic,
@@ -53,8 +49,22 @@ EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VALIDATION = 5
 
-CHANNEL_KEYS = ("gamma13", "gamma23", "theta", "chi", "phi", "gamma_t", "asym")
-STATE_KEYS = ("rho11", "re_rho12", "im_rho12")
+# decay rates that compute and validate accept in place of asym; sweeps take asym only
+RATE_KEYS = ("gamma13", "gamma23")
+CHANNEL_KEYS = RATE_KEYS + tuple(name for name in PARAM_NAMES if name not in STATE_NAMES)
+AXIS_KEYS = ("name", "start", "stop", "points")
+
+# one flag per parameter, in --help order
+FLAG_HELP = {
+    "theta": "total pulse action angle (radians)",
+    "chi": "intensity-distribution angle in [0, pi/2]",
+    "phi": "relative phase of the two pulse tones",
+    "gamma_t": "elapsed decay gamma*t (number or \"inf\")",
+    "asym": "decay-rate ratio gamma13/gamma23",
+    "rho11": "input-state population of level 1",
+    "re_rho12": "Re of the input coherence",
+    "im_rho12": "Im of the input coherence",
+}
 
 
 class ConfigError(ValueError):
@@ -93,10 +103,23 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _numbers(section: dict) -> dict:
+    return {key: _number(value, key) for key, value in section.items()}
+
+
 def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _section(value, where: str, allowed: tuple[str, ...] | None = None) -> dict:
+    """``value`` as the config object ``where``, with only ``allowed`` keys when given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    if allowed is not None:
+        _check_keys(value, allowed, where)
+    return value
 
 
 def _load_file(path: str, cfg: RunConfig) -> None:
@@ -110,42 +133,29 @@ def _load_file(path: str, cfg: RunConfig) -> None:
         raise ConfigError("config root must be an object")
     _check_keys(raw, ("params", "input_state", "sweep", "optimize", "figure", "output", "format"), "config")
 
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    _check_keys(params, CHANNEL_KEYS, "params")
-    for key, value in params.items():
-        cfg.params[key] = _number(value, key)
+    cfg.params = _numbers(_section(raw.get("params", {}), "params", CHANNEL_KEYS))
 
-    state = raw.get("input_state", None)
-    if state is not None:
-        if state == "maximally_mixed":
-            cfg.state = {}
-        elif isinstance(state, dict):
-            _check_keys(state, STATE_KEYS, "input_state")
-            cfg.state = {k: _number(v, k) for k, v in state.items()}
-        else:
-            raise ConfigError(f"input_state must be \"maximally_mixed\" or an object, got {state!r}")
+    state = raw.get("input_state")
+    if isinstance(state, dict):
+        cfg.state = _numbers(_section(state, "input_state", STATE_NAMES))
+    elif state not in (None, "maximally_mixed"):
+        raise ConfigError(f"input_state must be \"maximally_mixed\" or an object, got {state!r}")
 
-    sweep = raw.get("sweep", None)
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep must be an object")
-        _check_keys(sweep, ("axes", "fixed"), "sweep")
+    if raw.get("sweep") is not None:
+        sweep = _section(raw["sweep"], "sweep", ("axes", "fixed"))
         axes = sweep.get("axes", [])
         if not isinstance(axes, list):
             raise ConfigError("sweep.axes must be a list")
         cfg.sweep_axes = []
         for i, entry in enumerate(axes):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"sweep.axes[{i}] must be an object")
-            _check_keys(entry, ("name", "start", "stop", "points"), f"sweep.axes[{i}]")
-            for want in ("name", "start", "stop", "points"):
+            where = f"sweep.axes[{i}]"
+            _section(entry, where, AXIS_KEYS)
+            for want in AXIS_KEYS:
                 if want not in entry:
-                    raise ConfigError(f"sweep.axes[{i}] is missing {want!r}")
+                    raise ConfigError(f"{where} is missing {want!r}")
             points = entry["points"]
             if isinstance(points, bool) or not isinstance(points, int):
-                raise ConfigError(f"sweep.axes[{i}].points must be an integer")
+                raise ConfigError(f"{where}.points must be an integer")
             cfg.sweep_axes.append(
                 {
                     "name": str(entry["name"]),
@@ -154,41 +164,28 @@ def _load_file(path: str, cfg: RunConfig) -> None:
                     "points": points,
                 }
             )
-        fixed = sweep.get("fixed", {})
-        if not isinstance(fixed, dict):
-            raise ConfigError("sweep.fixed must be an object")
-        cfg.sweep_fixed = {k: _number(v, k) for k, v in fixed.items()}
+        cfg.sweep_fixed = _numbers(_section(sweep.get("fixed", {}), "sweep.fixed"))
 
-    opt = raw.get("optimize", None)
-    if opt is not None:
-        if not isinstance(opt, dict):
-            raise ConfigError("optimize must be an object")
-        _check_keys(opt, ("free", "bounds"), "optimize")
+    if raw.get("optimize") is not None:
+        opt = _section(raw["optimize"], "optimize", ("free", "bounds"))
         free = opt.get("free", [])
         if not isinstance(free, list) or not all(isinstance(n, str) for n in free):
             raise ConfigError("optimize.free must be a list of parameter names")
         cfg.opt_free = list(free)
-        bounds = opt.get("bounds", {})
-        if not isinstance(bounds, dict):
-            raise ConfigError("optimize.bounds must be an object")
         cfg.opt_bounds = {}
-        for name, pair in bounds.items():
+        for name, pair in _section(opt.get("bounds", {}), "optimize.bounds").items():
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError(f"optimize.bounds[{name!r}] must be a [lo, hi] pair")
             cfg.opt_bounds[name] = [_number(pair[0], name), _number(pair[1], name)]
 
-    if "figure" in raw:
-        if not isinstance(raw["figure"], str):
-            raise ConfigError("figure must be a string")
-        cfg.figure = raw["figure"]
-    if "output" in raw:
-        if not isinstance(raw["output"], str):
-            raise ConfigError("output must be a string")
-        cfg.output = raw["output"]
-    if "format" in raw:
-        if raw["format"] not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {raw['format']!r}")
-        cfg.fmt = raw["format"]
+    for key in ("figure", "output"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string")
+    cfg.figure = raw.get("figure")
+    cfg.output = raw.get("output")
+    cfg.fmt = raw.get("format", "csv")
+    if cfg.fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -196,14 +193,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config:
         _load_file(args.config, cfg)
-    for key in ("theta", "chi", "phi", "gamma_t", "asym"):
-        value = getattr(args, key, None)
+    for name in FLAG_HELP:
+        value = getattr(args, name)
         if value is not None:
-            cfg.params[key] = float(value)
-    for key in STATE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg.state[key] = float(value)
+            (cfg.state if name in STATE_NAMES else cfg.params)[name] = value
     if getattr(args, "figure", None):
         cfg.figure = args.figure
     if args.out:
@@ -213,20 +206,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _jsonable(value):
+    """``value`` with every infinite float spelled "inf", as configs and grids write it."""
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(item) for item in value]
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
+
+
 def dump_config(cfg: RunConfig) -> str:
     """Serialize the merged config; reloading it reproduces the same run."""
     doc: dict = {}
     if cfg.params:
-        doc["params"] = {k: "inf" if math.isinf(v) else v for k, v in cfg.params.items()}
+        doc["params"] = cfg.params
     doc["input_state"] = cfg.state if cfg.state else "maximally_mixed"
     if cfg.sweep_axes is not None:
-        doc["sweep"] = {
-            "axes": [
-                {**axis, "stop": "inf" if math.isinf(axis["stop"]) else axis["stop"]}
-                for axis in cfg.sweep_axes
-            ],
-            "fixed": cfg.sweep_fixed,
-        }
+        doc["sweep"] = {"axes": cfg.sweep_axes, "fixed": cfg.sweep_fixed}
     if cfg.opt_free is not None:
         doc["optimize"] = {"free": cfg.opt_free, "bounds": cfg.opt_bounds}
     if cfg.figure is not None:
@@ -234,37 +230,27 @@ def dump_config(cfg: RunConfig) -> str:
     if cfg.output is not None:
         doc["output"] = cfg.output
     doc["format"] = cfg.fmt
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
-def _lambda_params(cfg: RunConfig) -> LambdaParams:
-    merged = {"gamma13": 1.0, "gamma23": 1.0}
-    merged.update({k: v for k, v in cfg.params.items() if k != "asym"})
+def _point(cfg: RunConfig) -> dict:
+    """The run's parameter point: defaults, then params and input state.
+
+    Given ``asym``, the rate keys are dropped; without it they set the decay rates.
+    """
+    point = {**DEFAULTS, **cfg.params, **cfg.state}
     if "asym" in cfg.params:
-        merged["gamma13"] = cfg.params["asym"]
-        merged["gamma23"] = 1.0
-    return LambdaParams(**merged)
-
-
-def _input_state(cfg: RunConfig) -> DensityMatrix:
-    if not cfg.state:
-        return maximally_mixed(2)
-    return qubit_state(
-        cfg.state.get("rho11", 0.5),
-        cfg.state.get("re_rho12", 0.0),
-        cfg.state.get("im_rho12", 0.0),
-    )
+        for key in RATE_KEYS:
+            point.pop(key, None)
+    return point
 
 
 def _sweep_overrides(cfg: RunConfig) -> dict:
     """Explicit params/state entries, translated to the sweep universe."""
-    overrides: dict = {}
-    for key, value in cfg.params.items():
-        if key in ("gamma13", "gamma23"):
+    for key in cfg.params:
+        if key in RATE_KEYS:
             raise ConfigError(f"{key} cannot be fixed in a sweep; use asym (ratio of decay rates)")
-        overrides[key] = value
-    overrides.update(cfg.state)
-    return overrides
+    return {**cfg.params, **cfg.state}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -287,10 +273,6 @@ def format_csv(result: SweepResult) -> str:
     return ",".join(names + ["Ic"]) + "\n" + body + f"# max Ic={_fmt(result.max_value)} at {at}\n"
 
 
-def _jsonable(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 def _json_list(items, depth: int) -> str:
     """Encoded JSON items as a list laid out the way ``json.dumps(indent=2)`` lays out one ``depth`` levels deep."""
     pad = "\n" + "  " * (depth + 1)
@@ -305,14 +287,10 @@ def _json_row(row: list, depth: int) -> str:
 def format_grid_json(result: SweepResult) -> str:
     doc = {
         "axes": [
-            {"name": axis.name, "values": [_jsonable(v) for v in axis.values().tolist()]}
-            for axis in result.spec.axes
+            {"name": axis.name, "values": axis.values().tolist()} for axis in result.spec.axes
         ],
         "values": None,  # a placeholder: the grid is encoded row by row below
-        "max": {
-            "Ic": result.max_value,
-            "at": {k: _jsonable(v) for k, v in result.argmax.items()},
-        },
+        "max": {"Ic": result.max_value, "at": result.argmax},
     }
     values = result.values.tolist()
     if result.values.ndim == 1:
@@ -320,12 +298,12 @@ def format_grid_json(result: SweepResult) -> str:
     else:
         grid = _json_list((_json_row(row, 2) for row in values), 1)
     # no axis has null values, so the first "values": null is the placeholder
-    return json.dumps(doc, indent=2).replace('"values": null', '"values": ' + grid, 1) + "\n"
+    return json.dumps(_jsonable(doc), indent=2).replace('"values": null', '"values": ' + grid, 1) + "\n"
 
 
 def run_compute(cfg: RunConfig) -> int:
-    channel = channel_map(_lambda_params(cfg))
-    rho = _input_state(cfg)
+    params, rho = _point_objects(_point(cfg))
+    channel = channel_map(params)
     rho_out = apply_channel(channel, rho)
     joint = joint_output(channel, rho)
     s_out = rho_out.entropy()
@@ -357,33 +335,24 @@ def run_compute(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_spec(cfg: RunConfig) -> SweepSpec:
-    if cfg.sweep_axes is None or not cfg.sweep_axes:
-        raise ConfigError("sweep requires a config file with a sweep.axes list")
-    axes = tuple(Axis(a["name"], a["start"], a["stop"], a["points"]) for a in cfg.sweep_axes)
-    fixed = dict(cfg.sweep_fixed)
-    fixed.update(_sweep_overrides(cfg))
-    return SweepSpec(axes=axes, fixed=fixed, input_state="maximally_mixed")
+def _run_grid(cfg: RunConfig, spec: SweepSpec) -> int:
+    result = grid_sweep(spec)
+    _emit(format_grid_json(result) if cfg.fmt == "json" else format_csv(result), cfg.output)
+    return EXIT_OK
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    result = grid_sweep(_build_spec(cfg))
-    _emit(format_grid_json(result) if cfg.fmt == "json" else format_csv(result), cfg.output)
-    return EXIT_OK
+    if not cfg.sweep_axes:
+        raise ConfigError("sweep requires a config file with a sweep.axes list")
+    axes = tuple(Axis(**axis) for axis in cfg.sweep_axes)
+    return _run_grid(cfg, SweepSpec(axes=axes, fixed={**cfg.sweep_fixed, **_sweep_overrides(cfg)}))
 
 
 def run_figure(cfg: RunConfig) -> int:
     if not cfg.figure:
         raise ConfigError("figure requires an id (--figure or config key \"figure\")")
     preset = figure_preset(cfg.figure)
-    overrides = _sweep_overrides(cfg)
-    if overrides:
-        fixed = dict(preset.fixed)
-        fixed.update(overrides)
-        preset = SweepSpec(axes=preset.axes, fixed=fixed, input_state=preset.input_state)
-    result = grid_sweep(preset)
-    _emit(format_grid_json(result) if cfg.fmt == "json" else format_csv(result), cfg.output)
-    return EXIT_OK
+    return _run_grid(cfg, SweepSpec(axes=preset.axes, fixed={**preset.fixed, **_sweep_overrides(cfg)}))
 
 
 def _optimum_report(point: dict, value: float, iterations: int) -> str:
@@ -401,7 +370,7 @@ def run_optimize(cfg: RunConfig) -> int:
     for name in cfg.opt_free:
         fixed.pop(name, None)
     try:
-        best = maximize_ic(cfg.opt_free, bounds, fixed=fixed, input_state="maximally_mixed")
+        best = maximize_ic(cfg.opt_free, bounds, fixed=fixed)
     except NoConvergence as err:
         _emit(_optimum_report(err.point, err.value, err.iterations), cfg.output)
         print(f"error: {err}", file=sys.stderr)
@@ -411,7 +380,7 @@ def run_optimize(cfg: RunConfig) -> int:
 
 
 def run_validate(cfg: RunConfig) -> int:
-    report = validate_channel(channel_map(_lambda_params(cfg)))
+    report = validate_channel(channel_map(_point_params(_point(cfg))))
     text = "\n".join(
         [
             f"trace deviation        {report.trace_deviation:.3e}",
@@ -443,14 +412,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="write the report/grid to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), help="grid output format (default csv)")
-        p.add_argument("--theta", type=float, help="total pulse action angle (radians)")
-        p.add_argument("--chi", type=float, help="intensity-distribution angle in [0, pi/2]")
-        p.add_argument("--phi", type=float, help="relative phase of the two pulse tones")
-        p.add_argument("--gamma-t", dest="gamma_t", type=float, help="elapsed decay gamma*t (number or \"inf\")")
-        p.add_argument("--asym", type=float, help="decay-rate ratio gamma13/gamma23")
-        p.add_argument("--rho11", type=float, help="input-state population of level 1")
-        p.add_argument("--re-rho12", dest="re_rho12", type=float, help="Re of the input coherence")
-        p.add_argument("--im-rho12", dest="im_rho12", type=float, help="Im of the input coherence")
+        for param, param_help in FLAG_HELP.items():
+            p.add_argument("--" + param.replace("_", "-"), type=float, help=param_help)
         p.add_argument("--dump-config", help="write the merged effective config to this path")
         if name == "figure":
             p.add_argument("--figure", help="preset id: fig1a, fig1b, fig2a or fig2b")

@@ -4,16 +4,16 @@ A sweep point is a full assignment of the model parameters: pulse angles
 (theta, chi, phi), elapsed decay gamma_t, the branching asymmetry ``asym``
 (the ratio of the 3->1 and 3->2 decay rates), and the input-state
 parameters (rho11, re_rho12, im_rho12).  Axes pick which of these vary;
-everything else comes from ``fixed`` or from the defaults below.  If any
-input-state parameter is swept or fixed explicitly, the input state is built
-from those parameters; otherwise the ``input_state`` field is used directly.
+everything else comes from ``fixed`` or from the defaults below.  The input
+state is ``qubit_state(rho11, re_rho12, im_rho12)``; the defaults give the
+maximally mixed state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -22,7 +22,6 @@ from .channel import (
     DensityMatrix,
     NotDensityMatrix,
     density_mask,
-    maximally_mixed,
     qubit_matrices,
     qubit_state,
 )
@@ -55,8 +54,6 @@ SIMPLEX_TOL = 1e-8
 MAX_ITERATIONS = 2000
 # points per evaluation block: bounds the batched temporaries whatever the grid size
 BLOCK = 512
-
-InputState = Union[DensityMatrix, str]
 
 
 class InvalidSpec(ValueError):
@@ -97,20 +94,24 @@ class Axis:
         uniformly in the decayed fraction 1 - e^(-gamma_t) (the only form
         in which gamma_t enters the model), ending exactly at inf.
         """
-        if math.isinf(self.stop):
-            fractions = np.linspace(1.0 - math.exp(-self.start), 1.0, self.points)
-            with np.errstate(divide="ignore"):
-                return -np.log1p(-fractions)
-        return np.linspace(self.start, self.stop, self.points)
+        if not math.isinf(self.stop):
+            return np.linspace(self.start, self.stop, self.points)
+        with np.errstate(divide="ignore"):
+            try:
+                fractions = np.linspace(1.0 - math.exp(-self.start), 1.0, self.points)
+            except OverflowError:
+                # a start below about -709, unphysical and rejected at this first
+                # point: the same samples, written without e^(-start)
+                return self.start - np.log1p(-np.linspace(0.0, 1.0, self.points))
+            return -np.log1p(-fractions)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid request: 1 or 2 axes, fixed values for the rest, input state."""
+    """Grid request: 1 or 2 axes, fixed values for the rest."""
 
     axes: tuple[Axis, ...]
     fixed: dict[str, float] = field(default_factory=dict)
-    input_state: InputState = "maximally_mixed"
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
@@ -132,12 +133,6 @@ class SweepSpec:
                 raise InvalidSpec(f"unknown fixed parameter {name!r}")
             if name in seen:
                 raise InvalidSpec(f"parameter {name!r} is both an axis and fixed")
-        if isinstance(self.input_state, str) and self.input_state != "maximally_mixed":
-            raise InvalidSpec(f"unknown input_state {self.input_state!r}")
-
-    def uses_state_params(self) -> bool:
-        named = set(self.fixed) | {axis.name for axis in self.axes}
-        return bool(named & set(STATE_NAMES))
 
 
 @dataclass(frozen=True)
@@ -159,18 +154,17 @@ class Optimum:
     iterations: int
 
 
-def _point_objects(
-    point: Mapping[str, float], input_state: InputState, use_state_params: bool
-) -> tuple[LambdaParams, DensityMatrix]:
+def _point_objects(point: Mapping[str, float]) -> tuple[LambdaParams, DensityMatrix]:
     """The parameters and input state of one point; the constructors raise on bad values."""
-    return _point_params(point), _point_state(point, input_state, use_state_params)
+    return _point_params(point), _point_state(point)
 
 
 def _point_params(point: Mapping[str, float]) -> LambdaParams:
-    # asym r means decay rates in ratio r : 1 toward levels 1 and 2.
+    # asym r means decay rates in ratio r : 1 toward levels 1 and 2; a point
+    # may instead carry the rates gamma13, gamma23 themselves
     return LambdaParams(
-        gamma13=point["asym"],
-        gamma23=1.0,
+        gamma13=point.get("gamma13", point["asym"]),
+        gamma23=point.get("gamma23", 1.0),
         theta=point["theta"],
         chi=point["chi"],
         phi=point["phi"],
@@ -178,28 +172,18 @@ def _point_params(point: Mapping[str, float]) -> LambdaParams:
     )
 
 
-def _point_state(point: Mapping[str, float], input_state: InputState, use_state_params: bool) -> DensityMatrix:
-    if use_state_params:
-        return qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
-    return _given_state(input_state)
+def _point_state(point: Mapping[str, float]) -> DensityMatrix:
+    return qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
 
 
-def _given_state(input_state: InputState) -> DensityMatrix:
-    return input_state if isinstance(input_state, DensityMatrix) else maximally_mixed(2)
-
-
-def _states(
-    columns: Mapping[str, np.ndarray | float], input_state: InputState, use_state_params: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _states(columns: Mapping[str, np.ndarray | float]) -> tuple[np.ndarray, np.ndarray]:
     """Input states (..., 2, 2) of state columns of one common shape, and the mask of the physical ones.
 
     The mask holds the conditions of ``qubit_state`` / ``DensityMatrix``
     with their tolerances, state by state.
     """
-    if use_state_params:
-        rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
-        return rho, density_mask(rho)
-    return _given_state(input_state).matrix, np.True_
+    rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+    return rho, density_mask(rho)
 
 
 def _params_valid(columns: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -209,13 +193,7 @@ def _params_valid(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     )
 
 
-def _grid_blocks(
-    base: Mapping[str, float],
-    names: Sequence[str],
-    axis_values: Sequence[np.ndarray],
-    input_state: InputState,
-    use_state_params: bool,
-):
+def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
     """Yield (slice, columns, rho, valid) over the row-major grid of ``axis_values``, BLOCK points at a time.
 
     ``columns`` maps every parameter name to an array over the block's points:
@@ -231,9 +209,7 @@ def _grid_blocks(
         name: values.reshape([-1 if j == k else 1 for j in range(len(shape))])
         for k, (name, values) in enumerate(zip(names, axis_values))
     }
-    rho, state_valid = _states(
-        {name: along.get(name, base[name]) for name in STATE_NAMES}, input_state, use_state_params
-    )
+    rho, state_valid = _states({name: along.get(name, base[name]) for name in STATE_NAMES})
     rho = np.broadcast_to(rho, shape + (2, 2))
     state_valid = np.broadcast_to(state_valid, shape)
     size = math.prod(shape)
@@ -261,18 +237,17 @@ def grid_sweep(spec: SweepSpec) -> SweepResult:
     """
     base = dict(DEFAULTS)
     base.update(spec.fixed)
-    use_state = spec.uses_state_params()
     names = [axis.name for axis in spec.axes]
     axis_values = [axis.values() for axis in spec.axes]
     shape = tuple(len(values) for values in axis_values)
 
     flat = np.empty(math.prod(shape), dtype=float)
-    for where, columns, rho, valid in _grid_blocks(base, names, axis_values, spec.input_state, use_state):
+    for where, columns, rho, valid in _grid_blocks(base, names, axis_values):
         if not valid.all():
             bad = int(np.argmin(valid))
             point = {name: float(column[bad]) for name, column in columns.items()}
             try:
-                _point_objects(point, spec.input_state, use_state)
+                _point_objects(point)
             except NotDensityMatrix as err:
                 at = ", ".join(f"{name}={point[name]:g}" for name in names)
                 raise InvalidStateAtPoint(f"invalid input state at {at}: {err}") from err
@@ -289,7 +264,6 @@ def maximize_ic(
     free: Sequence[str],
     bounds: Mapping[str, tuple[float, float]],
     fixed: Mapping[str, float] | None = None,
-    input_state: InputState = "maximally_mixed",
 ) -> Optimum:
     """Maximize I_c over 1-4 parameters with a simplex search.
 
@@ -329,7 +303,6 @@ def maximize_ic(
 
     base = dict(DEFAULTS)
     base.update(fixed)
-    use_state = bool((set(free) | set(fixed)) & set(STATE_NAMES))
 
     pinned = {name: bounds[name][0] for name in free if bounds[name][0] == bounds[name][1]}
     active = [name for name in free if name not in pinned]
@@ -339,7 +312,7 @@ def maximize_ic(
     shared = None
     if not set(active) & set(STATE_NAMES):
         try:
-            shared = _point_state(base, input_state, use_state)
+            shared = _point_state(base)
         except NotDensityMatrix:
             pass  # every point is unphysical; score() raises and scores it -inf
 
@@ -348,7 +321,7 @@ def maximize_ic(
         here.update(assignment)
         try:
             params = _point_params(here)
-            rho = shared if shared is not None else _point_state(here, input_state, use_state)
+            rho = shared if shared is not None else _point_state(here)
         except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
             return -math.inf
         return coherent_information_at(params, rho)
@@ -362,7 +335,7 @@ def maximize_ic(
 
     coarse_axes = [np.linspace(*bounds[name], COARSE_POINTS) for name in active]
     coarse = np.full(COARSE_POINTS ** len(active), -np.inf)
-    for where, columns, rho, valid in _grid_blocks(base, active, coarse_axes, input_state, use_state):
+    for where, columns, rho, valid in _grid_blocks(base, active, coarse_axes):
         if valid.any():
             block = coarse[where]  # a view: writes land in coarse
             kept = {name: column[valid] for name, column in columns.items()}

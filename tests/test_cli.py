@@ -67,15 +67,52 @@ def test_compute_accepts_inf_gamma_t(capsys):
     assert "0.688722" in out
 
 
-def test_gamma_t_flag_matches_config_file(capsys, tmp_path):
-    for flag, value in (("3.27", 3.27), ("inf", "inf")):
-        config = tmp_path / "params.json"
-        config.write_text(json.dumps({"params": {"gamma_t": value}}))
-        code, from_file, _ = run(capsys, "compute", "--config", str(config))
+def _flag(name, value):
+    return f"--{name.replace('_', '-')}={value}"
+
+
+def test_parameter_flags_match_config_file(capsys, tmp_path):
+    # a point at which the report depends on every parameter: at asym = 1 with
+    # the maximally mixed input, I_c depends on neither chi nor phi
+    values = {
+        "theta": 1.1, "chi": 0.4, "phi": -0.7, "gamma_t": 3.27, "asym": 0.3,
+        "rho11": 0.3, "re_rho12": 0.2, "im_rho12": -0.1,
+    }
+    assert sorted(values) == sorted(sweep.PARAM_NAMES)
+    cases = [(name, repr(value), value) for name, value in values.items()] + [("gamma_t", "inf", "inf")]
+    config = tmp_path / "params.json"
+    for name, flag, value in cases:
+        rest = [_flag(other, repr(v)) for other, v in values.items() if other != name]
+        section = "input_state" if name in sweep.STATE_NAMES else "params"
+        config.write_text(json.dumps({section: {name: value}}))
+        code, from_file, _ = run(capsys, "compute", "--config", str(config), *rest)
         assert code == 0
-        code, from_flag, _ = run(capsys, "compute", "--gamma-t", flag)
+        code, from_flag, _ = run(capsys, "compute", *rest, _flag(name, flag))
         assert code == 0
         assert from_flag == from_file
+        if flag != "inf":  # inf is the default gamma_t
+            assert from_flag != run(capsys, "compute", *rest)[1], name
+
+
+def test_rate_keys_set_the_decay_rates(capsys, tmp_path):
+    config = tmp_path / "rates.json"
+    config.write_text(json.dumps({"params": {"gamma13": 0, "gamma23": 1}}))
+    code, from_rates, _ = run(capsys, "compute", "--config", str(config))
+    assert code == 0
+    assert from_rates == run(capsys, "compute", "--asym", "0")[1]
+    # gamma23 = 0, a single 3->1 decay path, lies beyond any finite asym
+    config.write_text(json.dumps({"params": {"gamma13": 1, "gamma23": 0}}))
+    code, out, _ = run(capsys, "compute", "--config", str(config), "--chi", "0")
+    assert code == 0
+    assert "I_c                1.000000" in out
+    code, out, _ = run(capsys, "validate", "--config", str(config))
+    assert code == 0
+    assert "result                 PASS" in out
+    # a given asym overrides both rates
+    for command in ("compute", "validate"):
+        with_rates = run(capsys, command, "--config", str(config), "--asym", "0.5")
+        assert with_rates == run(capsys, command, "--asym", "0.5")
+        assert with_rates[0] == 0
 
 
 def test_validate_passes_for_valid_params(capsys, tmp_path):
@@ -159,10 +196,25 @@ def test_sweep_rejects_gamma13_fixed(capsys, tmp_path):
     config.write_text(json.dumps({
         "params": {"gamma13": 2.0},
         "sweep": {"axes": [{"name": "theta", "start": 0.0, "stop": 1.0, "points": 3}]},
+        "optimize": {"free": ["theta"], "bounds": {"theta": [0.0, 1.0]}},
     }))
-    code, _, err = run(capsys, "sweep", "--config", str(config))
-    assert code == 2
-    assert "asym" in err
+    for argv in (["sweep"], ["figure", "--figure", "fig1b"], ["optimize"]):
+        code, _, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert "asym" in err
+
+
+def test_sweep_rejects_negative_gamma_t_axis_start(capsys, tmp_path):
+    # below a start of about -709, e^(-start) overflows a float
+    config = tmp_path / "sweep.json"
+    for start in (-1, -1000):
+        config.write_text(json.dumps({
+            "sweep": {"axes": [{"name": "gamma_t", "start": start, "stop": "inf", "points": 3}]},
+        }))
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: gamma_t must lie in [0, inf], got {float(start)}\n"
 
 
 def test_unwritable_output_path(capsys, tmp_path):
@@ -246,20 +298,35 @@ def test_optimize_requires_free_section(capsys):
     assert "free" in err
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_dump_config_round_trip(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    code, _, _ = run(
-        capsys, "compute",
-        "--theta", "1.25", "--rho11", "0.3", "--gamma-t", "inf",
-        "--dump-config", str(first),
-    )
-    assert code == 0
-    code, _, _ = run(
-        capsys, "compute", "--config", str(first), "--dump-config", str(second)
-    )
-    assert code == 0
-    assert json.loads(first.read_text()) == json.loads(second.read_text())
+    sweep_config = tmp_path / "sweep.json"
+    sweep_config.write_text(json.dumps({
+        "sweep": {
+            "axes": [{"name": "theta", "start": 0.0, "stop": FULL_TURN, "points": 3}],
+            "fixed": {"gamma_t": "inf"},
+        },
+    }))
+    for argv in (
+        ["compute", "--theta", "1.25", "--rho11", "0.3", "--gamma-t", "inf"],
+        ["sweep", "--config", str(sweep_config)],
+    ):
+        code, direct, _ = run(capsys, *argv, "--dump-config", str(first))
+        assert code == 0
+        code, replayed, _ = run(
+            capsys, argv[0], "--config", str(first), "--dump-config", str(second)
+        )
+        assert code == 0
+        assert replayed == direct
+        assert _strict_json(first.read_text()) == _strict_json(second.read_text())
 
 
 def test_dumped_config_reproduces_output(capsys, tmp_path):

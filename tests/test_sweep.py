@@ -53,8 +53,6 @@ def test_spec_validation():
         SweepSpec(axes=(Axis("theta", 0, math.inf, 3),))
     with pytest.raises(InvalidSpec):
         SweepSpec(axes=(good,), fixed={"theta": 1.0})
-    with pytest.raises(InvalidSpec):
-        SweepSpec(axes=(good,), input_state="pure")
 
 
 def test_single_axis_sweep_is_periodic_in_theta():
@@ -104,7 +102,7 @@ def test_sweep_rejects_first_unphysical_parameter_point():
 
 def _scalar_accepts(point):
     try:
-        _point_objects(point, "maximally_mixed", True)
+        _point_objects(point)
     except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
         return False
     return True
@@ -136,7 +134,7 @@ def test_block_validity_mask_matches_scalar_constructors():
         "re_rho12": sometimes(radius * np.cos(angle), [1.7e308, math.inf]),
         "im_rho12": radius * np.sin(angle),
     }
-    _, state_valid = _states(columns, "maximally_mixed", True)
+    _, state_valid = _states(columns)
     valid = _params_valid(columns) & state_valid
     scalar = [_scalar_accepts({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
     assert valid.tolist() == scalar
@@ -144,7 +142,7 @@ def test_block_validity_mask_matches_scalar_constructors():
 
     # a non-finite theta given as a fixed value rejects every point of the grid
     base = dict(DEFAULTS, theta=math.inf, rho11=0.3)
-    for _, block, _, valid in _grid_blocks(base, ["chi"], [np.linspace(0.0, half_pi, 5)], "maximally_mixed", True):
+    for _, block, _, valid in _grid_blocks(base, ["chi"], [np.linspace(0.0, half_pi, 5)]):
         assert not valid.any()
         assert not any(_scalar_accepts({k: float(v[i]) for k, v in block.items()}) for i in range(5))
 
@@ -183,7 +181,7 @@ def test_hoisted_state_mask_matches_per_point_mask():
         base = dict(DEFAULTS, **fixed)
         names, values = list(axes), [np.asarray(v, dtype=float) for v in axes.values()]
         seen, physical = 0, 0
-        for where, columns, rho, valid in _grid_blocks(base, names, values, "maximally_mixed", True):
+        for where, columns, rho, valid in _grid_blocks(base, names, values):
             per_point = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
             assert np.array_equal(rho, per_point)
             assert valid.tolist() == (_params_valid(columns) & density_mask(per_point)).tolist()
@@ -194,8 +192,8 @@ def test_hoisted_state_mask_matches_per_point_mask():
     # the fixed states |rho12| = 0.6 and 0.3 at rho11 = 0.1 lie outside and on the boundary
     assert mixed == [True, False, False, True, True, True, True, True, True]
 
-    # with no state parameter the given state serves every point
-    for _, columns, rho, valid in _grid_blocks(DEFAULTS, ["theta", "chi"], [theta, chi], "maximally_mixed", False):
+    # with no state axis the default state, maximally mixed, serves every point
+    for _, columns, rho, valid in _grid_blocks(DEFAULTS, ["theta", "chi"], [theta, chi]):
         assert np.array_equal(rho, np.broadcast_to(np.eye(2) / 2, rho.shape))
         assert valid.tolist() == _params_valid(columns).tolist()
 
