@@ -1,7 +1,9 @@
 """Coherent information of a pulse-driven Lambda emitter's photon channel.
 
-The package splits into a generic channel engine (``linalg``, ``channel``),
-the physical model of the three-level emitter (``lambda_system``), and the
+The package splits into the emitter model and its evaluator
+(``lambda_system``: the field and atom spectra of each point, and the
+transfer operators that ``validate`` checks), states and channel
+diagnostics (``channel``), the entropy of a spectrum (``linalg``), and the
 survey layer (``sweep``, ``cli``).
 """
 
@@ -10,15 +12,8 @@ from .channel import (
     ChannelReport,
     DensityMatrix,
     JointProbabilityTable,
-    PurifiedState,
-    apply_channel,
     choi_matrix,
-    coherent_information,
-    entropy_exchange,
-    identity_channel,
-    joint_output,
     maximally_mixed,
-    purify,
     qubit_state,
     shannon_mutual_information,
     validate_channel,
@@ -26,12 +21,11 @@ from .channel import (
 from .lambda_system import (
     LambdaParams,
     channel_map,
-    closed_form_channel,
     coherent_information_at,
     decay_isometry,
     pulse_propagator,
 )
-from .linalg import Spectrum, entropy_bits, hermitian_eigensystem, kron
+from .linalg import entropy_bits
 from .sweep import (
     Axis,
     Optimum,
@@ -52,29 +46,18 @@ __all__ = [
     "JointProbabilityTable",
     "LambdaParams",
     "Optimum",
-    "PurifiedState",
-    "Spectrum",
     "SweepResult",
     "SweepSpec",
-    "apply_channel",
     "channel_map",
     "choi_matrix",
-    "closed_form_channel",
-    "coherent_information",
     "coherent_information_at",
     "decay_isometry",
     "entropy_bits",
-    "entropy_exchange",
     "figure_preset",
     "grid_sweep",
-    "hermitian_eigensystem",
-    "identity_channel",
-    "joint_output",
-    "kron",
     "maximally_mixed",
     "maximize_ic",
     "pulse_propagator",
-    "purify",
     "qubit_state",
     "shannon_mutual_information",
     "validate_channel",

@@ -1,11 +1,13 @@
-"""Finite-dimensional quantum channel engine.
+"""States, channel diagnostics and the classical baseline.
 
-A channel from a ``dim_in``-level system to a ``dim_out``-level one is held
-in transfer-operator form: a family of output-space matrices ``s[m, n]``
-such that ``rho_out = sum_mn rho[m, n] * s[m, n]``.  On top of that sit the
-derived information quantities: output entropy, entropy exchange (entropy of
-the channel acting on one half of a purification), coherent information, and
-the classical mutual-information baseline.
+``DensityMatrix`` validates one input state, and ``density_mask`` applies
+the same checks to a stack of them.  A channel from a ``dim_in``-level
+system to a ``dim_out``-level one is held in transfer-operator form: a
+family of output-space matrices ``s[m, n]`` such that
+``rho_out = sum_mn rho[m, n] * s[m, n]``; ``validate_channel`` checks its
+physicality through the Choi matrix.  ``shannon_mutual_information`` is the
+classical baseline.  Information quantities of the Lambda channel come from
+``lambda_system``'s evaluator, not from this module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotNormalized, entropy_bits, hermitian_eigensystem, kron
+from .linalg import NotNormalized, entropy_bits
 
 DENSITY_TOL = 1e-10
 CHOI_TOL = 1e-8
@@ -22,10 +24,6 @@ CHOI_TOL = 1e-8
 
 class NotDensityMatrix(ValueError):
     """Matrix fails the density-matrix invariants."""
-
-
-class OutputNotDensity(NotDensityMatrix):
-    """A channel produced an invalid output state (malformed map)."""
 
 
 class DimensionMismatch(ValueError):
@@ -60,18 +58,6 @@ class DensityMatrix:
         if lowest < -DENSITY_TOL:
             raise NotDensityMatrix(f"negative eigenvalue {lowest:.3e}")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues, descending."""
-        return hermitian_eigensystem(self.matrix).eigenvalues
-
-    def entropy(self) -> float:
-        """Von Neumann entropy in bits."""
-        return entropy_bits(self.spectrum())
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -150,27 +136,6 @@ class ChannelMap:
         return self.s.shape[2]
 
 
-def identity_channel(dim: int) -> ChannelMap:
-    """The noiseless channel: s[m, n] = |m><n|."""
-    s = np.zeros((dim, dim, dim, dim), dtype=complex)
-    for m in range(dim):
-        for n in range(dim):
-            s[m, n, m, n] = 1.0
-    return ChannelMap(s)
-
-
-@dataclass(frozen=True)
-class PurifiedState:
-    """Pure state on system x mirror whose partial trace is a given state.
-
-    ``amplitudes`` has length dim**2 with component ``m*dim + p`` holding the
-    coefficient of |m> x |p~> (mirror index second).
-    """
-
-    dim: int
-    amplitudes: np.ndarray
-
-
 @dataclass(frozen=True)
 class JointProbabilityTable:
     """Joint distribution p(x, y) over input rows and output columns."""
@@ -196,89 +161,6 @@ class ChannelReport:
     hermiticity_deviation: float
     min_choi_eigenvalue: float
     passes: bool
-
-
-def purify(rho: DensityMatrix) -> PurifiedState:
-    """Purify ``rho`` as sum_i sqrt(p_i) |i> x |i*>.
-
-    Parameters
-    ----------
-    rho:
-        State to purify.
-
-    Returns
-    -------
-    PurifiedState
-        Unit-norm vector on the doubled space; |i*> is the entrywise
-        complex conjugate of eigenvector |i>, so the partial trace over the
-        mirror factor recovers ``rho``.  Eigenvalues at or below zero
-        (roundoff) are dropped; every positive one is kept, because
-        dropping an eigenvalue p moves the entropy exchange by about
-        -p log2 p (4e-11 bits at p = 1e-12).
-    """
-    spec = hermitian_eigensystem(rho.matrix)
-    dim = rho.dim
-    amplitudes = np.zeros(dim * dim, dtype=complex)
-    for p_i, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if p_i <= 0.0:
-            continue
-        amplitudes += np.sqrt(p_i) * kron(vec, vec.conj())
-    return PurifiedState(dim=dim, amplitudes=amplitudes)
-
-
-def apply_channel(channel: ChannelMap, rho: DensityMatrix) -> DensityMatrix:
-    """Send ``rho`` through the channel: rho_out = sum_mn rho[m,n] s[m,n].
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``rho.dim != channel.dim_in``.
-    OutputNotDensity
-        If the result fails density-matrix validation, which indicates a
-        malformed transfer-operator family rather than a bad input.
-    """
-    if rho.dim != channel.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
-    out = np.einsum("mn,mnab->ab", rho.matrix, channel.s)
-    try:
-        return DensityMatrix(out)
-    except NotDensityMatrix as err:
-        raise OutputNotDensity(f"channel output invalid: {err}") from err
-
-
-def joint_output(channel: ChannelMap, rho: DensityMatrix) -> DensityMatrix:
-    """Channel acting on one half of the purification of ``rho``.
-
-    Returns the (dim_out*dim_in)-dimensional state obtained by sending the
-    system factor of ``purify(rho)`` through the channel while the mirror
-    factor passes untouched.  Row index is ``a*dim_in + p`` with ``a`` the
-    output index and ``p`` the mirror index.  For the identity channel the
-    result is the pure projector onto the purification.
-    """
-    if rho.dim != channel.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} != channel input dim {channel.dim_in}")
-    psi = purify(rho).amplitudes.reshape(rho.dim, rho.dim)
-    joint = np.einsum("mp,nq,mnab->apbq", psi, psi.conj(), channel.s)
-    side = channel.dim_out * rho.dim
-    try:
-        return DensityMatrix(joint.reshape(side, side))
-    except NotDensityMatrix as err:
-        raise OutputNotDensity(f"joint output invalid: {err}") from err
-
-
-def entropy_exchange(channel: ChannelMap, rho: DensityMatrix) -> float:
-    """Entropy in bits of the joint output-mirror state."""
-    return joint_output(channel, rho).entropy()
-
-
-def coherent_information(channel: ChannelMap, rho: DensityMatrix) -> float:
-    """Output entropy minus entropy exchange, in bits.
-
-    May be negative (for example, a channel that discards its input and
-    emits a fixed pure state yields minus the input entropy); no flooring
-    at zero is applied.
-    """
-    return apply_channel(channel, rho).entropy() - entropy_exchange(channel, rho)
 
 
 def shannon_mutual_information(table: JointProbabilityTable) -> float:

@@ -22,9 +22,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import NotDensityMatrix, OutputNotDensity, apply_channel, joint_output, validate_channel
-from .lambda_system import InvalidAlphas, InvalidAngle, channel_map
-from .linalg import ConvergenceFailure, NegativeProbability, NotHermitian, NotNormalized, NotSquare
+from .channel import NotDensityMatrix, validate_channel
+from .lambda_system import InvalidAlphas, InvalidAngle, _spectra, channel_map
+from .linalg import NegativeProbability, NotNormalized, entropy_bits
 from .sweep import (
     DEFAULTS,
     PARAM_NAMES,
@@ -97,8 +97,8 @@ def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     if isinstance(value, str):
-        if value == "inf":
-            return math.inf
+        if value in ("inf", "-inf", "nan"):  # the spellings _jsonable writes
+            return float(value)
         raise ConfigError(f"{key}: expected a number or \"inf\", got {value!r}")
     return float(value)
 
@@ -207,12 +207,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _jsonable(value):
-    """``value`` with every infinite float spelled "inf", as configs and grids write it."""
+    """``value`` with every non-finite float spelled "inf", "-inf" or "nan", as configs and grids write it."""
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_jsonable(item) for item in value]
-    return "inf" if isinstance(value, float) and math.isinf(value) else value
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -303,21 +303,20 @@ def format_grid_json(result: SweepResult) -> str:
 
 def run_compute(cfg: RunConfig) -> int:
     params, rho = _point_objects(_point(cfg))
-    channel = channel_map(params)
-    rho_out = apply_channel(channel, rho)
-    joint = joint_output(channel, rho)
-    s_out = rho_out.entropy()
-    s_e = joint.entropy()
-    out_spectrum = rho_out.spectrum()
-    joint_spectrum = joint.spectrum()
+    spectra = _spectra(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, rho.matrix)
+    s_out, s_e = entropy_bits(spectra).tolist()
+    out_spectrum = spectra[0, ::-1].tolist()
+    # the atom purifies field and mirror, so the 6x6 field-mirror state has
+    # the atom's spectrum and three zeros
+    joint_spectrum = spectra[1, ::-1].tolist() + [0.0, 0.0, 0.0]
     if cfg.fmt == "json":
         text = json.dumps(
             {
                 "Ic": s_out - s_e,
                 "S_out": s_out,
                 "S_e": s_e,
-                "rho_out_spectrum": out_spectrum.tolist(),
-                "rho_alpha_spectrum": joint_spectrum.tolist(),
+                "rho_out_spectrum": out_spectrum,
+                "rho_alpha_spectrum": joint_spectrum,
             },
             indent=2,
         ) + "\n"
@@ -438,10 +437,6 @@ _CONFIG_ERRORS = (
     InvalidAlphas,
 )
 _NUMERIC_ERRORS = (
-    OutputNotDensity,
-    NotSquare,
-    NotHermitian,
-    ConvergenceFailure,
     NegativeProbability,
     NotNormalized,
     OSError,

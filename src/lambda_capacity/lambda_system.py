@@ -6,8 +6,8 @@ A short resonant two-tone pulse moves ground amplitude into |3>; the excited
 level then decays, emitting a photon into one of two orthogonal wavepacket
 modes (one per transition).  Tracing out the atom leaves a channel from the
 ground-state qubit to the three-state photon field {vacuum, ph13, ph23},
-which this module builds in transfer-operator form, both constructively from
-the pulse and decay isometries and from an explicit closed-form table.
+which :func:`channel_map` builds in transfer-operator form from the pulse
+and decay isometries, for :func:`channel.validate_channel` to check.
 
 The atom purifies the field together with a mirror of the input, so the
 coherent information of a point needs only two 3x3 states: the field state
@@ -204,16 +204,12 @@ def channel_map(params: LambdaParams) -> ChannelMap:
     return ChannelMap(np.einsum("kam,kbn->mnab", w, w.conj()))
 
 
-def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
-    """Coherent information in bits at many parameter points at once.
+def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
+    """The field and atom spectra at many points, stacked: shape (2, ..., 3), each ascending.
 
-    ``theta, chi, phi, gamma_t, alpha1`` are arrays of one shape (N,) (or
-    any common shape) and ``rho`` holds the input density matrices, shape
-    (N, 2, 2) or one (2, 2) shared by every point.  The inputs are not
-    validated: callers check them first (:func:`params_mask`,
-    ``channel.density_mask``).  Works from G = U rho U^dag, the atom state
-    right after the pulse; see the module docstring.  Returns an array of
-    shape (N,).
+    Takes the arguments of :func:`coherent_information_batch`, unvalidated;
+    ``...`` is the shape of the points.  Works from G = U rho U^dag, the
+    atom state right after the pulse; see the module docstring.
     """
     rho = np.asarray(rho)
     r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
@@ -264,51 +260,27 @@ def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndar
     spectra = np.empty((2,) + shape + (3,))
     spectra[0] = np.linalg.eigvalsh(field, UPLO="U")
     spectra[1] = np.linalg.eigvalsh(atom, UPLO="U")
-    entropy = entropy_bits(spectra)
+    return spectra
+
+
+def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
+    """Coherent information in bits at many parameter points at once.
+
+    ``theta, chi, phi, gamma_t, alpha1`` are arrays of one shape (N,) (or
+    any common shape) and ``rho`` holds the input density matrices, shape
+    (N, 2, 2) or one (2, 2) shared by every point.  The inputs are not
+    validated: callers check them first (:func:`params_mask`,
+    ``channel.density_mask``).  Returns S(field) - S(atom), shape (N,).
+    """
+    entropy = entropy_bits(_spectra(theta, chi, phi, gamma_t, alpha1, rho))
     return entropy[0] - entropy[1]
 
 
 def coherent_information_at(params: LambdaParams, rho: DensityMatrix) -> float:
     """Coherent information in bits of the channel at ``params`` for input ``rho``.
 
-    The one-point call of :func:`coherent_information_batch`.  Agrees with
-    ``coherent_information(channel_map(params), rho)``, which goes through
-    the 6x6 field-mirror state instead.
+    The one-point call of :func:`coherent_information_batch`.
     """
     return float(coherent_information_batch(
         params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, rho.matrix
     ))
-
-
-def closed_form_channel(
-    theta: float, gamma_t: float, alpha1: float, alpha2: float
-) -> ChannelMap:
-    """Transfer operators written out explicitly for the chi = pi/2 drive.
-
-    Equivalent to :func:`channel_map` at chi = pi/2, phi = 0 up to a fixed
-    sign flip of the photon basis states, which leaves every spectrum (and
-    hence every entropy) unchanged.  Kept as an independent construction so
-    the two routes can cross-check each other.
-    """
-    _check_angles(theta, math.pi / 2, 0.0)
-    _check_alphas(alpha1, alpha2, gamma_t)
-    decay = math.exp(-gamma_t)
-    emitted = math.sqrt(1.0 - decay)
-    half_sq = math.sin(theta / 2.0) ** 2
-    s = np.zeros((2, 2, 3, 3), dtype=complex)
-
-    s[0, 0, 0, 0] = 1.0 - half_sq + decay * half_sq
-    # Both off-diagonal entries carry the sin(theta) factor; they must be
-    # conjugate partners or the map stops being completely positive.
-    cross = 0.5j * math.sqrt(alpha1) * emitted * math.sin(theta)
-    s[0, 0, 0, 1] = -cross
-    s[0, 0, 1, 0] = cross
-    s[0, 0, 1, 1] = alpha1 * (1.0 - decay) * half_sq
-    s[0, 0, 2, 2] = alpha2 * (1.0 - decay) * half_sq
-
-    swap = 1j * math.sqrt(alpha2) * emitted * math.sin(theta / 2.0)
-    s[0, 1, 2, 0] = swap
-    s[1, 0, 0, 2] = np.conj(swap)
-
-    s[1, 1, 0, 0] = 1.0
-    return ChannelMap(s)

@@ -14,17 +14,22 @@ import pytest
 from lambda_capacity.channel import (
     DensityMatrix,
     JointProbabilityTable,
-    apply_channel,
-    coherent_information,
-    entropy_exchange,
-    identity_channel,
-    joint_output,
     maximally_mixed,
     shannon_mutual_information,
     validate_channel,
 )
-from lambda_capacity.lambda_system import LambdaParams, channel_map, closed_form_channel
+from lambda_capacity.lambda_system import LambdaParams, channel_map, coherent_information_at
 from lambda_capacity.sweep import figure_preset, grid_sweep
+from oracle import (
+    apply_channel,
+    closed_form_channel,
+    coherent_information,
+    entropy,
+    entropy_exchange,
+    identity_channel,
+    joint_output,
+    spectrum,
+)
 
 CAPACITY_OPTIMUM = 0.6887
 
@@ -43,9 +48,10 @@ def entropy_of(matrix):
 
 
 def test_optimum_capacity_of_symmetric_emitter():
-    # library value
-    ic = coherent_information(channel_map(LambdaParams()), maximally_mixed(2))
+    # library value, and the purification route
+    ic = coherent_information_at(LambdaParams(), maximally_mixed(2))
     assert ic == pytest.approx(CAPACITY_OPTIMUM, abs=5e-4)
+    assert coherent_information(channel_map(LambdaParams()), maximally_mixed(2)) == pytest.approx(ic, abs=1e-12)
 
     # brute-force oracle: assemble the joint output-mirror state directly
     # from the explicit operator table and eigendecompose the 6x6 by hand
@@ -58,8 +64,8 @@ def test_optimum_capacity_of_symmetric_emitter():
     )
     rho_out = 0.5 * (s[0, 0] + s[1, 1])
     assert entropy_of(rho_out) == pytest.approx(1.5, abs=1e-10)
-    spectrum = np.sort(np.linalg.eigvalsh(rho_alpha))[::-1]
-    assert np.max(np.abs(spectrum - [0.75, 0.25, 0, 0, 0, 0])) < 1e-10
+    joint_spectrum = np.sort(np.linalg.eigvalsh(rho_alpha))[::-1]
+    assert np.max(np.abs(joint_spectrum - [0.75, 0.25, 0, 0, 0, 0])) < 1e-10
     assert ic == pytest.approx(entropy_of(rho_out) - entropy_of(rho_alpha), abs=1e-10)
 
 
@@ -67,8 +73,9 @@ def test_two_level_limit_transfers_one_qubit():
     # closing the 3->1 decay path at single-tone drive leaves a channel
     # that relays the qubit into the field intact
     params = LambdaParams(gamma13=0.0, gamma23=1.0, theta=math.pi, chi=math.pi / 2, gamma_t=math.inf)
-    ic = coherent_information(channel_map(params), maximally_mixed(2))
+    ic = coherent_information_at(params, maximally_mixed(2))
     assert ic == pytest.approx(1.0, abs=1e-6)
+    assert coherent_information(channel_map(params), maximally_mixed(2)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_no_pulse_gives_vacuum_and_minus_input_entropy():
@@ -79,7 +86,7 @@ def test_no_pulse_gives_vacuum_and_minus_input_entropy():
         rho = random_density(2, rng)
         out = apply_channel(channel, rho)
         assert np.max(np.abs(out.matrix - vacuum)) < 1e-10
-        assert coherent_information(channel, rho) == pytest.approx(-rho.entropy(), abs=1e-10)
+        assert coherent_information(channel, rho) == pytest.approx(-entropy(rho), abs=1e-10)
 
 
 def test_information_independent_of_pulse_split_and_phase():
@@ -100,8 +107,8 @@ def test_constructive_and_closed_form_routes_agree():
             built = channel_map(LambdaParams(theta=theta, gamma_t=gt))
             table = closed_form_channel(theta, gt, 0.5, 0.5)
             for rho in inputs:
-                d_out = apply_channel(built, rho).spectrum() - apply_channel(table, rho).spectrum()
-                d_joint = joint_output(built, rho).spectrum() - joint_output(table, rho).spectrum()
+                d_out = spectrum(apply_channel(built, rho)) - spectrum(apply_channel(table, rho))
+                d_joint = spectrum(joint_output(built, rho)) - spectrum(joint_output(table, rho))
                 assert np.max(np.abs(d_out)) < 1e-10
                 assert np.max(np.abs(d_joint)) < 1e-10
 
@@ -133,7 +140,7 @@ def test_noiseless_channel_axioms():
     for _ in range(20):
         rho = random_density(2, rng)
         assert entropy_exchange(noiseless, rho) < 1e-10
-        assert coherent_information(noiseless, rho) == pytest.approx(rho.entropy(), abs=1e-10)
+        assert coherent_information(noiseless, rho) == pytest.approx(entropy(rho), abs=1e-10)
     # pure inputs: the joint state entropy collapses onto the output entropy
     for _ in range(20):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -142,7 +149,7 @@ def test_noiseless_channel_axioms():
         channel = channel_map(
             LambdaParams(theta=rng.uniform(0.0, 2.0 * math.pi), gamma_t=rng.uniform(0.0, 8.0))
         )
-        s_out = apply_channel(channel, pure).entropy()
+        s_out = entropy(apply_channel(channel, pure))
         assert entropy_exchange(channel, pure) == pytest.approx(s_out, abs=1e-10)
 
 

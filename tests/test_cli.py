@@ -6,8 +6,9 @@ import pytest
 
 from lambda_capacity import cli, sweep
 from lambda_capacity.channel import ChannelMap
-from lambda_capacity.cli import main
+from lambda_capacity.cli import _fmt, main
 from lambda_capacity.lambda_system import channel_map
+from oracle import POINT_NAMES, apply_channel, entropy, joint_output, oracle_points, spectrum
 
 FULL_TURN = 2.0 * math.pi
 
@@ -69,6 +70,39 @@ def test_compute_accepts_inf_gamma_t(capsys):
 
 def _flag(name, value):
     return f"--{name.replace('_', '-')}={value}"
+
+
+def test_compute_report_matches_purification_route(capsys):
+    for values in oracle_points():
+        point = dict(zip(POINT_NAMES, values))
+        flags = [_flag(name, repr(value)) for name, value in point.items()]
+        params, rho = sweep._point_objects(point)
+        channel = channel_map(params)
+        rho_out, joint = apply_channel(channel, rho), joint_output(channel, rho)
+        s_out, s_e = entropy(rho_out), entropy(joint)
+        out_spectrum, joint_spectrum = spectrum(rho_out), spectrum(joint)
+
+        code, out, err = run(capsys, "compute", *flags)
+        assert (code, err) == (0, "")
+        assert out == "\n".join([
+            f"I_c                {_fmt(s_out - s_e)}",
+            f"S_out              {_fmt(s_out)}",
+            f"S_e                {_fmt(s_e)}",
+            "rho_out spectrum   " + " ".join(_fmt(v) for v in out_spectrum),
+            "rho_alpha spectrum " + " ".join(_fmt(v) for v in joint_spectrum),
+        ]) + "\n", point
+
+        code, out, err = run(capsys, "compute", "--format", "json", *flags)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert sorted(doc) == ["Ic", "S_e", "S_out", "rho_alpha_spectrum", "rho_out_spectrum"]
+        assert abs(doc["Ic"] - (s_out - s_e)) <= 1e-13, point
+        assert abs(doc["S_out"] - s_out) <= 1e-13, point
+        assert abs(doc["S_e"] - s_e) <= 1e-13, point
+        assert np.abs(np.array(doc["rho_out_spectrum"]) - out_spectrum).max() <= 1e-13, point
+        assert np.abs(np.array(doc["rho_alpha_spectrum"]) - joint_spectrum).max() <= 1e-13, point
+        # the 6x6 field-mirror state has rank 3 at most
+        assert doc["rho_alpha_spectrum"][3:] == [0.0, 0.0, 0.0]
 
 
 def test_parameter_flags_match_config_file(capsys, tmp_path):
@@ -315,16 +349,18 @@ def test_dump_config_round_trip(capsys, tmp_path):
             "fixed": {"gamma_t": "inf"},
         },
     }))
-    for argv in (
-        ["compute", "--theta", "1.25", "--rho11", "0.3", "--gamma-t", "inf"],
-        ["sweep", "--config", str(sweep_config)],
+    for argv, want in (
+        (["compute", "--theta", "1.25", "--rho11", "0.3", "--gamma-t", "inf"], 0),
+        (["sweep", "--config", str(sweep_config)], 0),
+        # rejected values replay to the same rejection
+        (["compute", "--gamma-t=-inf"], 2),
+        (["compute", "--theta=-inf"], 2),
+        (["compute", "--theta=nan"], 2),
     ):
-        code, direct, _ = run(capsys, *argv, "--dump-config", str(first))
-        assert code == 0
-        code, replayed, _ = run(
-            capsys, argv[0], "--config", str(first), "--dump-config", str(second)
-        )
-        assert code == 0
+        direct = run(capsys, *argv, "--dump-config", str(first))
+        assert direct[0] == want
+        replayed = run(capsys, argv[0], "--config", str(first), "--dump-config", str(second))
+        assert replayed[0] == want
         assert replayed == direct
         assert _strict_json(first.read_text()) == _strict_json(second.read_text())
 

@@ -1,30 +1,28 @@
 import math
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lambda_capacity.channel import (
-    apply_channel,
-    coherent_information,
-    maximally_mixed,
-    qubit_state,
-    validate_channel,
-)
+from lambda_capacity.channel import maximally_mixed, qubit_state, validate_channel
 from lambda_capacity.lambda_system import (
     InvalidAlphas,
     InvalidAngle,
     LambdaParams,
     channel_map,
-    closed_form_channel,
     coherent_information_at,
     coherent_information_batch,
     decay_isometry,
     pulse_propagator,
 )
-from lambda_capacity.linalg import hermitian_eigensystem
+from oracle import (
+    apply_channel,
+    closed_form_channel,
+    coherent_information,
+    hermitian_eigensystem,
+    load_benchmark_reference,
+    oracle_points,
+)
 
 GT_GRID = [0.0, 0.3, 1.0, 2.5, 8.0, math.inf]
 
@@ -247,42 +245,15 @@ def test_output_state_flagship_point():
 # ---------------------------------------------------------------- evaluator
 
 
-def oracle_points():
-    """(theta, chi, phi, gamma_t, asym, rho): seeded random points, then the
-    edge values theta = 0, gamma_t in {0, inf}, asym = 0, rho11 in {0, 1}
-    and a pure input on the boundary |rho12|^2 = rho11 (1 - rho11)."""
-    rng = np.random.default_rng(31)
-    points = []
-    for _ in range(60):
-        rho11 = rng.uniform(0.0, 1.0)
-        coherence = rng.uniform(0.0, 1.0) * math.sqrt(rho11 * (1.0 - rho11))
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        rho = qubit_state(rho11, coherence * math.cos(angle), coherence * math.sin(angle))
-        gt = math.inf if rng.random() < 0.2 else rng.uniform(0.0, 8.0)
-        points.append((
-            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi / 2),
-            rng.uniform(-math.pi, math.pi), gt, rng.uniform(0.0, 2.0), rho,
-        ))
-    edge = math.sqrt(0.3 * 0.7)
-    states = (
-        qubit_state(0.0), qubit_state(1.0), maximally_mixed(2),
-        qubit_state(0.3, edge * math.cos(1.1), edge * math.sin(1.1)),
-    )
-    for theta in (0.0, 1.3, math.pi):
-        for gt in (0.0, 2.0, math.inf):
-            for asym in (0.0, 1.0, 1.7):
-                points.extend((theta, 0.7, 0.4, gt, asym, rho) for rho in states)
-    return points
-
-
 def test_evaluator_matches_purification_and_closed_form_routes():
     points = oracle_points()
+    states = [qubit_state(*p[5:]) for p in points]
     theta, chi, phi, gt, asym = (np.array(column) for column in zip(*(p[:5] for p in points)))
     batch = coherent_information_batch(
-        theta, chi, phi, gt, asym / (asym + 1.0), np.array([p[5].matrix for p in points])
+        theta, chi, phi, gt, asym / (asym + 1.0), np.array([rho.matrix for rho in states])
     )
     assert batch.shape == (len(points),)
-    for (theta, chi, phi, gt, asym, rho), ic_batch in zip(points, batch):
+    for (theta, chi, phi, gt, asym, *_), rho, ic_batch in zip(points, states, batch):
         params = LambdaParams(gamma13=asym, gamma23=1.0, theta=theta, chi=chi, phi=phi, gamma_t=gt)
         reference = coherent_information(channel_map(params), rho)
         assert abs(coherent_information_at(params, rho) - reference) < 1e-12
@@ -295,19 +266,8 @@ def test_evaluator_matches_purification_and_closed_form_routes():
         assert abs(ic_drive - coherent_information(channel_map(drive), rho)) < 1e-12
 
 
-def _load_benchmark_reference():
-    """The benchmark's numpy-only evaluator, run from its source file, which it shares with no package code.
-
-    Executed from source rather than imported, so that no bytecode cache is written next to it.
-    """
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    module = types.ModuleType("benchmark_reference")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 def test_evaluator_matches_independent_reference_for_general_pulses():
-    reference = _load_benchmark_reference()
+    reference = load_benchmark_reference()
     rng = np.random.default_rng(2029)
     n = 200
     theta = rng.uniform(0.0, 4.0 * math.pi, n)

