@@ -26,10 +26,16 @@ modes:
   (G_11 + G_22 + s^2 G_33, alpha1 E G_33, alpha2 E G_33) and vacuum-photon
   entries sqrt(alpha_j E) G_j3.  Its ph13-ph23 entry is zero, so a diagonal
   phase change makes the vacuum-photon entries |G_j3| and the matrix real
-  without moving its spectrum, and a real eigensolver suffices.
+  without moving its spectrum.
 
 :func:`coherent_information_batch` evaluates many points at once this way;
-:func:`coherent_information_at` is its one-point call.
+:func:`coherent_information_at` is its one-point call.  A call of at least
+CLOSED_FORM_MIN points, such as a sweep block, takes both spectra from the
+trigonometric closed form for 3x3 Hermitian matrices (Smith, Commun. ACM 4,
+168 (1961)), and LAPACK's ``eigvalsh`` only at the points the closed form
+cannot resolve: a near-double eigenvalue pair next to a small eigenvalue.
+Smaller calls, such as ``compute`` and each simplex step, take LAPACK at
+every point.
 """
 
 from __future__ import annotations
@@ -43,6 +49,14 @@ from .channel import ChannelMap, DensityMatrix
 from .linalg import entropy_bits
 
 ALPHA_TOL = 1e-12
+# fewest matrices for which the closed-form spectra pay: LAPACK costs about 1 us
+# per matrix, the closed form about 80 us per call plus the LAPACK points it
+# leaves, and on preset-like grids the two meet between 64 and 256 matrices
+CLOSED_FORM_MIN = 128
+# points that the closed form leaves to LAPACK: 1 - |r| below DEGENERATE_TOL and
+# the smallest eigenvalue below SMALL_EIGENVALUE (see _eigvalsh3)
+DEGENERATE_TOL = 1e-2
+SMALL_EIGENVALUE = 1e-2
 
 
 class InvalidAngle(ValueError):
@@ -99,7 +113,11 @@ class LambdaParams:
     @property
     def alpha1(self) -> float:
         """Branching ratio of the 3->1 transition."""
-        return self.gamma13 / (self.gamma13 + self.gamma23)
+        total = self.gamma13 + self.gamma23
+        if math.isinf(total):
+            # two rates near the float limit: halving them is exact and keeps the sum finite
+            return (0.5 * self.gamma13) / (0.5 * self.gamma13 + 0.5 * self.gamma23)
+        return self.gamma13 / total
 
     @property
     def alpha2(self) -> float:
@@ -204,12 +222,68 @@ def channel_map(params: LambdaParams) -> ChannelMap:
     return ChannelMap(np.einsum("kam,kbn->mnab", w, w.conj()))
 
 
+def _eigvalsh3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
+    """Ascending eigenvalues ``shape + (3,)`` of the Hermitian 3x3 matrices with these diagonal and upper entries.
+
+    The entries broadcast to ``shape``, the shape of the matrices.  Calls of
+    fewer than CLOSED_FORM_MIN matrices go through ``np.linalg.eigvalsh``.
+    Larger calls take the trigonometric closed form (Smith, Commun. ACM 4, 168
+    (1961)): with m = tr A / 3, p^2 = tr (A - m)^2 / 6 and
+    r = det(A - m) / (2 p^3) = cos(3 phi), the eigenvalues are
+    m + 2 p cos(phi + 2 pi k / 3).  Near a double eigenvalue, r = +-1, the
+    arccos turns the roundoff of r into an error of about p eps / sqrt(1 - |r|)
+    in the pair (p sqrt(eps) at r = +-1), and an entropy moves by that
+    error times the log of the pair's ratio.  So points with 1 - |r| below
+    DEGENERATE_TOL whose smallest eigenvalue lies below SMALL_EIGENVALUE go
+    through ``np.linalg.eigvalsh``: there the error could make a zero
+    eigenvalue a negative probability, or move an entropy by more than 1e-13.
+    """
+    if math.prod(shape) < CLOSED_FORM_MIN:
+        return np.linalg.eigvalsh(_hermitian3(shape, a11, a22, a33, a12, a13, a23), UPLO="U")
+    trace = a11 + a22 + a33
+    m = trace / 3.0
+    b11, b22, b33 = a11 - m, a22 - m, a33 - m
+    s12, s13, s23 = ((x * np.conjugate(x)).real for x in (a12, a13, a23))
+    p2 = (b11 * b11 + b22 * b22 + b33 * b33) / 6.0 + (s12 + s13 + s23) / 3.0
+    p = np.sqrt(p2)
+    det = b11 * b22 * b33 - b11 * s23 - b22 * s13 - b33 * s12 + 2.0 * (a12 * a23 * np.conjugate(a13)).real
+    # a triple eigenvalue (p = 0) has every angle: take r = 0
+    r = np.divide(det, 2.0 * p * p2, out=np.zeros(shape), where=p2 > 0.0)
+    angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    values = np.empty(shape + (3,))
+    values[..., 2] = m + 2.0 * p * np.cos(angle)
+    values[..., 0] = m + 2.0 * p * np.cos(angle + 2.0 * math.pi / 3.0)
+    values[..., 1] = trace - values[..., 0] - values[..., 2]
+    unresolved = (1.0 - np.abs(r) < DEGENERATE_TOL) & (np.abs(values[..., 0]) < SMALL_EIGENVALUE)
+    if unresolved.any():
+        entries = (x[unresolved] for x in np.broadcast_arrays(a11, a22, a33, a12, a13, a23))
+        values[unresolved] = np.linalg.eigvalsh(
+            _hermitian3((np.count_nonzero(unresolved),), *entries), UPLO="U"
+        )
+    return values
+
+
+def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
+    """The matrices ``shape + (3, 3)`` with these diagonal and upper entries, of a12's dtype; the lower triangle stays zero."""
+    matrix = np.zeros(shape + (3, 3), dtype=a12.dtype)
+    matrix[..., 0, 0] = a11
+    matrix[..., 1, 1] = a22
+    matrix[..., 2, 2] = a33
+    matrix[..., 0, 1] = a12
+    matrix[..., 0, 2] = a13
+    matrix[..., 1, 2] = a23
+    return matrix
+
+
 def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
     """The field and atom spectra at many points, stacked: shape (2, ..., 3), each ascending.
 
     Takes the arguments of :func:`coherent_information_batch`, unvalidated;
     ``...`` is the shape of the points.  Works from G = U rho U^dag, the
-    atom state right after the pulse; see the module docstring.
+    atom state right after the pulse; see the module docstring.  Each state
+    goes to :func:`_eigvalsh3` as its six diagonal and upper entries: the
+    closed form from CLOSED_FORM_MIN points on, with LAPACK at the points it
+    cannot resolve, and LAPACK alone below that.
     """
     rho = np.asarray(rho)
     r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
@@ -240,26 +314,14 @@ def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
     to2 = (1.0 - alpha1) * emitted
     e1, e2, kept = to1 * g33, to2 * g33, survive * survive * g33
     shape = np.shape(e1)
-    # eigvalsh reads the upper triangle only (UPLO="U")
-    atom = np.zeros(shape + (3, 3), dtype=complex)
-    atom[..., 0, 0] = g11 + e1
-    atom[..., 1, 1] = g22 + e2
-    atom[..., 2, 2] = kept
-    atom[..., 0, 1] = g12
-    scale = 1j * sine * survive
-    atom[..., 0, 2] = scale * d1
-    atom[..., 1, 2] = scale * d2
-    field = np.zeros(shape + (3, 3))
-    field[..., 0, 0] = g11 + g22 + kept
-    field[..., 1, 1] = e1
-    field[..., 2, 2] = e2
     magnitude = np.abs(sine)
-    field[..., 0, 1] = np.sqrt(to1) * magnitude * np.abs(d1)
-    field[..., 0, 2] = np.sqrt(to2) * magnitude * np.abs(d2)
-
+    scale = 1j * sine * survive
     spectra = np.empty((2,) + shape + (3,))
-    spectra[0] = np.linalg.eigvalsh(field, UPLO="U")
-    spectra[1] = np.linalg.eigvalsh(atom, UPLO="U")
+    spectra[0] = _eigvalsh3(
+        shape, g11 + g22 + kept, e1, e2,
+        np.sqrt(to1) * magnitude * np.abs(d1), np.sqrt(to2) * magnitude * np.abs(d2), 0.0,
+    )
+    spectra[1] = _eigvalsh3(shape, g11 + e1, g22 + e2, kept, g12, scale * d1, scale * d2)
     return spectra
 
 

@@ -33,11 +33,12 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
     """
     p = np.asarray(probabilities, dtype=float)
     rows = np.atleast_2d(p) if p.ndim <= 2 else p.reshape(-1, p.shape[-1])
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
+    # each check runs over the whole stack; only a failed one looks for the first bad vector
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=1)
         raise NotNormalized(f"probabilities contain NaN or Inf: {rows[np.argmin(finite)].tolist()}")
-    negative = rows.min(axis=1, initial=0.0) < -PROBABILITY_CLAMP
-    if negative.any():
+    if rows.min(initial=0.0) < -PROBABILITY_CLAMP:
+        negative = rows.min(axis=1, initial=0.0) < -PROBABILITY_CLAMP
         smallest = rows[np.argmax(negative)].min()
         raise NegativeProbability(f"probability {smallest:.3e} below -{PROBABILITY_CLAMP:.0e}")
     rows = np.where(rows < 0.0, 0.0, rows)

@@ -52,8 +52,10 @@ MAX_FREE = 4
 COARSE_POINTS = 9
 SIMPLEX_TOL = 1e-8
 MAX_ITERATIONS = 2000
-# points per evaluation block: bounds the batched temporaries whatever the grid size
-BLOCK = 512
+# points per evaluation block: bounds the batched temporaries whatever the grid
+# size, holds a 41x41 grid whole, and is far above lambda_system.CLOSED_FORM_MIN,
+# so full blocks take closed-form spectra (LAPACK only at unresolved points)
+BLOCK = 2048
 
 
 class InvalidSpec(ValueError):
@@ -276,9 +278,9 @@ def maximize_ic(
     Raises
     ------
     InvalidSpec
-        Malformed request (unknown names, missing or infinite bounds), no
-        physical point on the coarse grid, or every free parameter pinned
-        at an unphysical point.
+        Malformed request (unknown names, missing or infinite bounds, bounds
+        for a parameter that is not free), no physical point on the coarse
+        grid, or every free parameter pinned at an unphysical point.
     NoConvergence
         Iteration cap hit; the best point so far rides on the exception.
     """
@@ -297,6 +299,9 @@ def maximize_ic(
         lo, hi = bounds[name]
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise InvalidSpec(f"bounds for {name!r} must be finite with lo <= hi")
+    for name in bounds:
+        if name not in free:
+            raise InvalidSpec(f"bounds given for {name!r}, which is not a free parameter")
     for name in fixed:
         if name not in PARAM_NAMES:
             raise InvalidSpec(f"unknown fixed parameter {name!r}")

@@ -148,6 +148,19 @@ def test_rate_keys_set_the_decay_rates(capsys, tmp_path):
         assert with_rates == run(capsys, command, "--asym", "0.5")
         assert with_rates[0] == 0
 
+    def run_rates(command, gamma13, gamma23):
+        config.write_text(json.dumps({"params": {"gamma13": gamma13, "gamma23": gamma23}}))
+        return run(capsys, command, "--config", str(config))
+
+    # rates near the float limit: their sum overflows, their ratio must not
+    code, out, _ = run_rates("compute", 1e308, 1e308)
+    assert code == 0
+    assert "I_c                0.688722" in out
+    for command in ("compute", "validate"):
+        assert run_rates(command, 1e308, 1e308) == run_rates(command, 1, 1)
+    # 1e308 / 1e307 is 10 only to within an ulp, which the validate residuals show
+    assert run_rates("compute", 1e308, 1e307) == run_rates("compute", 10, 1)
+
 
 def test_validate_passes_for_valid_params(capsys, tmp_path):
     target = tmp_path / "report.txt"
@@ -287,6 +300,18 @@ def test_optimize_single_parameter(capsys, tmp_path):
     assert float(lines["theta*"]) == pytest.approx(math.pi, abs=1e-3)
     assert float(lines["I_c*"]) == pytest.approx(0.6887, abs=5e-4)
     assert int(lines["iterations"]) > 0
+
+
+def test_optimize_rejects_bounds_of_parameters_not_free(capsys, tmp_path):
+    config = tmp_path / "opt.json"
+    for extra in ("tehta", "chi"):
+        config.write_text(json.dumps({
+            "optimize": {"free": ["theta"], "bounds": {"theta": [0.0, 6.28], extra: [0.0, 0.1]}},
+        }))
+        code, out, err = run(capsys, "optimize", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bounds given for {extra!r}, which is not a free parameter\n"
 
 
 def test_optimize_rejects_all_unphysical_bounds(capsys, tmp_path):

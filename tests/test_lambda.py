@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lambda_capacity.channel import maximally_mixed, qubit_state, validate_channel
+from lambda_capacity.channel import maximally_mixed, qubit_matrices, qubit_state, validate_channel
 from lambda_capacity.lambda_system import (
+    CLOSED_FORM_MIN,
     InvalidAlphas,
     InvalidAngle,
     LambdaParams,
     channel_map,
     coherent_information_at,
     coherent_information_batch,
+    _eigvalsh3,
+    _spectra,
     decay_isometry,
     pulse_propagator,
 )
+from lambda_capacity.linalg import entropy_bits
 from oracle import (
     apply_channel,
     closed_form_channel,
@@ -286,3 +290,55 @@ def test_evaluator_matches_independent_reference_for_general_pulses():
     ours = coherent_information_batch(theta, chi, phi, gamma_t, asym / (asym + 1.0), rho)
     theirs = reference.evaluate(theta, chi, phi, gamma_t, asym, rho)["Ic"]
     assert np.abs(ours - theirs).max() < 1e-12
+
+
+def test_closed_form_spectra_match_lapack_at_edges():
+    rng = np.random.default_rng(1061)
+    n = 2048
+    assert n >= CLOSED_FORM_MIN
+
+    def column(edges, low, high):
+        values = rng.uniform(low, high, n)
+        at_edge = rng.random(n) < 0.5
+        values[at_edge] = rng.choice(edges, int(at_edge.sum()))
+        return values
+
+    theta = column([0.0, math.pi, 2.0 * math.pi], 0.0, 2.0 * math.pi)
+    chi = column([0.0, math.pi / 4, math.pi / 2], 0.0, math.pi / 2)
+    phi = column([0.0], -math.pi, math.pi)
+    gamma_t = column([0.0, math.inf], 0.0, 10.0)
+    asym = column([0.0, 1.0], 0.0, 3.0)
+    rho11 = column([0.0, 0.5, 1.0], 0.0, 1.0)
+    # a fraction 1 of the largest coherence makes the input pure
+    radius = column([0.0, 1.0], 0.0, 1.0) * np.sqrt(rho11 * (1.0 - rho11))
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    # named edges, as (theta, chi, phi, gamma_t, asym, rho11, radius)
+    edges = [
+        (0.0, 0.7, 0.3, 2.0, 0.5, 0.3, math.sqrt(0.21)),  # pure input, no pulse: a pure atom state
+        (1.9, 0.4, 0.0, 1.0, 2.0, 0.0, 0.0),  # rho11 = 0
+        (1.9, 0.4, 0.0, 1.0, 2.0, 1.0, 0.0),  # rho11 = 1
+        (2.5, math.pi / 2, 0.0, math.inf, 1.0, 0.0, 0.0),  # asym = 1, dark input: G_33 = 0
+        (0.0, 0.3, 0.0, math.inf, 1.0, 0.5, 0.0),  # atom state diag(1/2, 1/2, 0)
+        (math.pi, math.pi / 2, 0.0, math.inf, 1.0, 2.0 / 3.0, 0.0),  # field state I/3
+    ]
+    for i, edge in enumerate(edges):
+        theta[i], chi[i], phi[i], gamma_t[i], asym[i], rho11[i], radius[i] = edge
+    rho = qubit_matrices(rho11, radius * np.cos(angle), radius * np.sin(angle))
+    alpha1 = asym / (asym + 1.0)
+
+    spectra = _spectra(theta, chi, phi, gamma_t, alpha1, rho)
+    assert np.diff(spectra, axis=-1).min() >= -1e-14  # ascending, up to roundoff
+    ours = entropy_bits(spectra)
+    # the states built from the isometry W = V U, one point at a time
+    w = np.array([
+        (decay_isometry(a1, 1.0 - a1, gt) @ pulse_propagator(th, ch, ph)).reshape(3, 3, 2)
+        for th, ch, ph, gt, a1 in zip(theta, chi, phi, gamma_t, alpha1)
+    ])
+    field = np.einsum("ikam,imn,ikbn->iab", w, rho, w.conj())
+    atom = np.einsum("ikam,imn,ilan->ikl", w, rho, w.conj())
+    theirs = entropy_bits(np.stack([np.linalg.eigvalsh(field), np.linalg.eigvalsh(atom)]))
+    assert np.abs(ours - theirs).max() <= 1e-12
+
+    # a triple eigenvalue leaves the closed form's angle undefined
+    third, zero = np.full(n, 1.0 / 3.0), np.zeros(n)
+    assert np.abs(_eigvalsh3((n,), third, third, third, zero, zero, zero) - 1.0 / 3.0).max() <= 1e-15

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lambda_capacity.channel import maximally_mixed, qubit_state
 from lambda_capacity.lambda_system import (
+    CLOSED_FORM_MIN,
     LambdaParams,
     channel_map,
     coherent_information_at,
@@ -63,12 +64,17 @@ def test_evaluator_matches_purification_route_and_bounds(point):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(points(), min_size=1, max_size=25))
 def test_batched_call_equals_one_point_calls(batch):
-    columns = zip(*((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1) for p, _ in batch))
-    rho = np.array([rho.matrix for _, rho in batch])
-    values = coherent_information_batch(*(np.array(column) for column in columns), rho)
-    assert values.shape == (len(batch),)
-    for (params, rho), value in zip(batch, values):
-        assert abs(value - coherent_information_at(params, rho)) <= 1e-13
+    single = [coherent_information_at(params, rho) for params, rho in batch]
+    # as drawn, a batch is smaller than CLOSED_FORM_MIN and takes LAPACK; repeated
+    # to CLOSED_FORM_MIN points or more, it takes the closed-form spectra
+    for copies in (1, -(-CLOSED_FORM_MIN // len(batch))):
+        repeated = batch * copies
+        columns = zip(*((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1) for p, _ in repeated))
+        rho = np.array([rho.matrix for _, rho in repeated])
+        values = coherent_information_batch(*(np.array(column) for column in columns), rho)
+        assert values.shape == (len(repeated),)
+        for value, expected in zip(values, single * copies):
+            assert abs(value - expected) <= 1e-13
 
 
 def test_mixed_input_invariances_at_theta_2():
