@@ -22,8 +22,6 @@ from .lambda_system import (
     LambdaParams,
     channel_map,
     coherent_information_at,
-    decay_isometry,
-    pulse_propagator,
 )
 from .linalg import entropy_bits
 from .sweep import (
@@ -51,13 +49,11 @@ __all__ = [
     "channel_map",
     "choi_matrix",
     "coherent_information_at",
-    "decay_isometry",
     "entropy_bits",
     "figure_preset",
     "grid_sweep",
     "maximally_mixed",
     "maximize_ic",
-    "pulse_propagator",
     "qubit_state",
     "shannon_mutual_information",
     "validate_channel",

@@ -44,20 +44,36 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotDensityMatrix(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NotDensityMatrix("matrix contains NaN or Inf entries")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > DENSITY_TOL:
-            raise NotDensityMatrix(f"Hermiticity deviation {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise NotDensityMatrix(f"trace {tr!r} is not 1")
-        # halve before adding: (m + m^H) / 2 overflows for entries near the
-        # float limit, and NaN eigenvalues would then pass the check below
-        lowest = float(np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0).min())
-        if lowest < -DENSITY_TOL:
-            raise NotDensityMatrix(f"negative eigenvalue {lowest:.3e}")
+        for passes, message in _density_checks(m[None]):
+            if not passes[0]:
+                raise NotDensityMatrix(message(0))
         object.__setattr__(self, "matrix", m)
+
+
+def _density_checks(m: np.ndarray):
+    """The checks of :class:`DensityMatrix` over a complex stack (..., d, d), in its order.
+
+    One (passes, message) pair per check: finite entries, then Hermiticity deviation, trace and
+    lowest eigenvalue within DENSITY_TOL.  ``passes`` is a boolean array (...); ``message(i)``
+    describes the failure of matrix i of the flattened stack.
+    """
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        # zero the rejected non-finite matrices so that the eigensolver never sees them
+        m = np.where(finite[..., None, None], m, 0.0)
+    adjoint = m.conj().swapaxes(-2, -1)
+    with np.errstate(over="ignore"):
+        deviation = np.abs(m - adjoint).max(axis=(-2, -1))
+        trace = np.trace(m, axis1=-2, axis2=-1)
+    # halve before adding: (m + m^H) / 2 overflows for entries near the
+    # float limit, and NaN eigenvalues would then pass the check
+    lowest = np.linalg.eigvalsh(m / 2.0 + adjoint / 2.0)[..., 0]  # ascending
+    return (
+        (finite, lambda i: "matrix contains NaN or Inf entries"),
+        (deviation <= DENSITY_TOL, lambda i: f"Hermiticity deviation {deviation.flat[i]:.3e}"),
+        (np.abs(trace - 1.0) <= DENSITY_TOL, lambda i: f"trace {complex(trace.flat[i])} is not 1"),
+        (lowest >= -DENSITY_TOL, lambda i: f"negative eigenvalue {lowest.flat[i]:.3e}"),
+    )
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -72,9 +88,7 @@ def qubit_state(rho11: float, re_rho12: float = 0.0, im_rho12: float = 0.0) -> D
     ``re_rho12 + i*im_rho12``.  Raises :class:`NotDensityMatrix` when the
     parameters leave the physical region |rho12|^2 <= rho11*(1 - rho11).
     """
-    off = complex(re_rho12, im_rho12)
-    m = np.array([[rho11, off], [off.conjugate(), 1.0 - rho11]], dtype=complex)
-    return DensityMatrix(m)
+    return DensityMatrix(qubit_matrices(rho11, re_rho12, im_rho12))
 
 
 def qubit_matrices(rho11, re_rho12, im_rho12) -> np.ndarray:
@@ -92,19 +106,12 @@ def qubit_matrices(rho11, re_rho12, im_rho12) -> np.ndarray:
 def density_mask(matrices: np.ndarray) -> np.ndarray:
     """Elementwise over a stack (..., d, d): True where ``DensityMatrix`` accepts the matrix.
 
-    The same checks and tolerances as :class:`DensityMatrix`, with the
-    lowest eigenvalue from one batched ``eigvalsh`` over the stack.
+    The AND of the checks of :class:`DensityMatrix`, with the lowest
+    eigenvalues from one batched ``eigvalsh`` over the stack.
     """
-    m = np.asarray(matrices, dtype=complex)
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    # zero the rejected non-finite matrices so that the eigensolver never sees them
-    m = np.where(finite[..., None, None], m, 0.0)
-    adjoint = m.conj().swapaxes(-2, -1)
-    with np.errstate(over="ignore"):
-        hermitian = np.abs(m - adjoint).max(axis=(-2, -1)) <= DENSITY_TOL
-        unit_trace = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) <= DENSITY_TOL
-    lowest = np.linalg.eigvalsh(m / 2.0 + adjoint / 2.0).min(axis=-1)
-    return finite & hermitian & unit_trace & (lowest >= -DENSITY_TOL)
+    checks = _density_checks(np.asarray(matrices, dtype=complex))
+    (finite, _), (hermitian, _), (unit_trace, _), (positive, _) = checks
+    return finite & hermitian & unit_trace & positive
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ class JointProbabilityTable:
         if arr.size == 0 or arr.min() < 0.0 or not np.all(np.isfinite(arr)):
             raise ValueError("table entries must be finite and non-negative")
         if abs(arr.sum() - 1.0) > DENSITY_TOL:
-            raise NotNormalized(f"table sums to {arr.sum()!r}, expected 1")
+            raise NotNormalized(f"table sums to {float(arr.sum())}, expected 1")
         object.__setattr__(self, "p", arr)
 
 

@@ -100,7 +100,10 @@ def _number(value, key: str) -> float:
         if value in ("inf", "-inf", "nan"):  # the spellings _jsonable writes
             return float(value)
         raise ConfigError(f"{key}: expected a number or \"inf\", got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise ConfigError(f"{key}: integer out of float range") from None
 
 
 def _numbers(section: dict) -> dict:
@@ -127,7 +130,7 @@ def _load_file(path: str, cfg: RunConfig) -> None:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON, or an integer literal over Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import ChannelMap, DensityMatrix
 from .linalg import entropy_bits
 
-ALPHA_TOL = 1e-12
 # fewest matrices for which the closed-form spectra pay: LAPACK costs about 1 us
 # per matrix, the closed form about 80 us per call plus the LAPACK points it
 # leaves, and on preset-like grids the two meet between 64 and 256 matrices
@@ -65,6 +65,24 @@ class InvalidAngle(ValueError):
 
 class InvalidAlphas(ValueError):
     """Branching ratios or decay parameters are unphysical."""
+
+
+# The physical parameter region, one rule per entry, in the order in which
+# LambdaParams checks them: (error, message template, condition).  A condition
+# takes the fields as attributes and uses only comparisons, abs, & and +, so it
+# holds on floats and on arrays alike, and fails at NaN.  The rate sum adds
+# magnitudes, so that rates of inf and -inf make no NaN, which numpy warns about.
+PARAM_RULES = (
+    (InvalidAlphas, "decay rates must be finite",
+     lambda p: (abs(p.gamma13) < math.inf) & (abs(p.gamma23) < math.inf)),
+    (InvalidAlphas, "need gamma13, gamma23 >= 0 with a positive sum, got ({p.gamma13}, {p.gamma23})",
+     lambda p: (p.gamma13 >= 0.0) & (p.gamma23 >= 0.0) & (abs(p.gamma13) + abs(p.gamma23) > 0.0)),
+    (InvalidAlphas, "gamma_t must lie in [0, inf], got {p.gamma_t}", lambda p: p.gamma_t >= 0.0),
+    (InvalidAngle, "theta and phi must be finite, got ({p.theta}, {p.phi})",
+     lambda p: (abs(p.theta) < math.inf) & (abs(p.phi) < math.inf)),
+    (InvalidAngle, "chi must lie in [0, pi/2], got {p.chi}", lambda p: (p.chi >= 0.0) & (p.chi <= math.pi / 2)),
+    (ValueError, "only zero two-photon detuning is supported", lambda p: p.delta_R == 0.0),
+)
 
 
 @dataclass(frozen=True)
@@ -97,18 +115,9 @@ class LambdaParams:
     delta_R: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma13) and math.isfinite(self.gamma23)):
-            raise InvalidAlphas("decay rates must be finite")
-        if self.gamma13 < 0.0 or self.gamma23 < 0.0 or self.gamma13 + self.gamma23 <= 0.0:
-            raise InvalidAlphas(
-                f"need gamma13, gamma23 >= 0 with a positive sum, got "
-                f"({self.gamma13}, {self.gamma23})"
-            )
-        if math.isnan(self.gamma_t) or self.gamma_t < 0.0:
-            raise InvalidAlphas(f"gamma_t must lie in [0, inf], got {self.gamma_t}")
-        _check_angles(self.theta, self.chi, self.phi)
-        if self.delta_R != 0.0:
-            raise ValueError("only zero two-photon detuning is supported")
+        for error, message, holds in PARAM_RULES:
+            if not holds(self):
+                raise error(message.format(p=self))
 
     @property
     def alpha1(self) -> float:
@@ -125,37 +134,13 @@ class LambdaParams:
         return 1.0 - self.alpha1
 
 
-def _check_angles(theta: float, chi: float, phi: float) -> None:
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise InvalidAngle(f"theta and phi must be finite, got ({theta}, {phi})")
-    if not (math.isfinite(chi) and 0.0 <= chi <= math.pi / 2):
-        raise InvalidAngle(f"chi must lie in [0, pi/2], got {chi}")
-
-
-def _check_alphas(alpha1: float, alpha2: float, gamma_t: float) -> None:
-    if alpha1 < 0.0 or alpha2 < 0.0 or abs(alpha1 + alpha2 - 1.0) > ALPHA_TOL:
-        raise InvalidAlphas(f"branching ratios ({alpha1}, {alpha2}) must be >= 0 and sum to 1")
-    if math.isnan(gamma_t) or gamma_t < 0.0:
-        raise InvalidAlphas(f"gamma_t must lie in [0, inf], got {gamma_t}")
-
-
-def pulse_propagator(theta: float, chi: float, phi: float = 0.0) -> np.ndarray:
-    """Ground-subspace block of the resonant pulse propagator.
-
-    Returns the 3x2 matrix whose columns are the images of |1> and |2> under
-    exp(-i H tau_p), with the rotating-frame Hamiltonian
-    H = (1/2) [Omega1 e^{i phi} |3><1| + Omega2 |3><2| + h.c.],
-    Omega1 = Omega sin(chi), Omega2 = Omega cos(chi), Omega tau_p = theta.
-    H couples |3> only to the bright state b = e^{-i phi} sin(chi)|1> +
-    cos(chi)|2>, so exp(-i H tau_p) = |d><d| + cos(theta/2)(|b><b| + |3><3|)
-    - i sin(theta/2)(|3><b| + |b><3|), with d the dark ground state.
-    """
-    _check_angles(theta, chi, phi)
-    return _pulse(theta, chi, phi)
-
-
 def _pulse(theta, chi, phi) -> np.ndarray:
-    """Unchecked :func:`pulse_propagator` over angle arrays of shape (...): (..., 3, 2)."""
+    """The pulse propagator's ground columns U|1>, U|2> over angle arrays of shape (...): (..., 3, 2).
+
+    The rotating-frame H = (Omega/2) [sin(chi) e^{i phi} |3><1| + cos(chi) |3><2| + h.c.],
+    Omega tau_p = theta, couples |3> only to the bright state b, so U = exp(-i H tau_p) =
+    |d><d| + cos(theta/2)(|b><b| + |3><3|) - i sin(theta/2)(|3><b| + |b><3|), d the dark state.
+    """
     theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
     bright = np.stack([np.exp(-1j * phi) * np.sin(chi), np.cos(chi).astype(complex)], axis=-1)
     half = 0.5 * theta
@@ -166,20 +151,13 @@ def _pulse(theta, chi, phi) -> np.ndarray:
     return u
 
 
-def decay_isometry(alpha1: float, alpha2: float, gamma_t: float) -> np.ndarray:
-    """Radiative-decay isometry from the atom into atom x field.
-
-    Ground levels keep the field in vacuum; the excited level survives with
-    amplitude e^{-gamma_t/2} and otherwise decays to |1>|ph13> or |2>|ph23>
-    with weights alpha1, alpha2.  Rows are ordered atom-major:
-    (1,0), (1,ph13), (1,ph23), (2,0), ..., (3,ph23).
-    """
-    _check_alphas(alpha1, alpha2, gamma_t)
-    return _decay(alpha1, alpha2, gamma_t)
-
-
 def _decay(alpha1, alpha2, gamma_t) -> np.ndarray:
-    """Unchecked :func:`decay_isometry` over arrays of shape (...): (..., 9, 3)."""
+    """The decay isometry from the atom into atom x field, over arrays of shape (...): (..., 9, 3).
+
+    The excited level survives with amplitude e^{-gamma_t/2} and otherwise decays to |1>|ph13> or
+    |2>|ph23> with weights alpha1, alpha2; the ground levels keep the field in vacuum.  Rows are
+    atom-major: (1,0), (1,ph13), (1,ph23), (2,0), ..., (3,ph23).
+    """
     alpha1, alpha2, gamma_t = np.broadcast_arrays(alpha1, alpha2, gamma_t)
     emitted = np.sqrt(1.0 - np.exp(-gamma_t))
     v = np.zeros(gamma_t.shape + (9, 3), dtype=complex)
@@ -198,18 +176,17 @@ def _isometry(theta, chi, phi, gamma_t, alpha1) -> np.ndarray:
 
 
 def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray:
-    """Elementwise: True where ``LambdaParams`` accepts these values (delta_R = 0).
+    """Elementwise over floats or arrays that broadcast: True where ``LambdaParams`` accepts these values.
 
-    The same conditions as :class:`LambdaParams` and its angle check, over
-    broadcast arrays, for callers that validate many points at once.
+    The AND of the rules of PARAM_RULES at delta_R = 0, for callers that validate many points at once.
     """
-    with np.errstate(invalid="ignore"):
-        rates = np.isfinite(gamma13) & np.isfinite(gamma23)
-        rates &= (gamma13 >= 0.0) & (gamma23 >= 0.0) & (gamma13 + gamma23 > 0.0)
-        decay = ~np.isnan(gamma_t) & (gamma_t >= 0.0)
-        angles = np.isfinite(theta) & np.isfinite(phi)
-        angles &= np.isfinite(chi) & (chi >= 0.0) & (chi <= math.pi / 2)
-    return rates & decay & angles
+    point = SimpleNamespace(
+        gamma13=gamma13, gamma23=gamma23, theta=theta, chi=chi, phi=phi, gamma_t=gamma_t, delta_R=0.0
+    )
+    valid = True
+    for _, _, holds in PARAM_RULES:
+        valid = valid & holds(point)
+    return np.asarray(valid)
 
 
 def channel_map(params: LambdaParams) -> ChannelMap:

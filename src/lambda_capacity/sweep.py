@@ -18,21 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import (
-    DensityMatrix,
-    NotDensityMatrix,
-    density_mask,
-    qubit_matrices,
-    qubit_state,
-)
-from .lambda_system import (
-    InvalidAlphas,
-    InvalidAngle,
-    LambdaParams,
-    coherent_information_at,
-    coherent_information_batch,
-    params_mask,
-)
+from .channel import DensityMatrix, NotDensityMatrix, density_mask, qubit_matrices, qubit_state
+from .lambda_system import LambdaParams, coherent_information_batch, params_mask
 
 PARAM_NAMES = ("theta", "chi", "phi", "gamma_t", "rho11", "re_rho12", "im_rho12", "asym")
 STATE_NAMES = ("rho11", "re_rho12", "im_rho12")
@@ -158,7 +145,7 @@ class Optimum:
 
 def _point_objects(point: Mapping[str, float]) -> tuple[LambdaParams, DensityMatrix]:
     """The parameters and input state of one point; the constructors raise on bad values."""
-    return _point_params(point), _point_state(point)
+    return _point_params(point), qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
 
 
 def _point_params(point: Mapping[str, float]) -> LambdaParams:
@@ -174,10 +161,6 @@ def _point_params(point: Mapping[str, float]) -> LambdaParams:
     )
 
 
-def _point_state(point: Mapping[str, float]) -> DensityMatrix:
-    return qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
-
-
 def _states(columns: Mapping[str, np.ndarray | float]) -> tuple[np.ndarray, np.ndarray]:
     """Input states (..., 2, 2) of state columns of one common shape, and the mask of the physical ones.
 
@@ -188,7 +171,7 @@ def _states(columns: Mapping[str, np.ndarray | float]) -> tuple[np.ndarray, np.n
     return rho, density_mask(rho)
 
 
-def _params_valid(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+def _params_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray:
     """The conditions of ``LambdaParams``, point by point."""
     return params_mask(
         columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"]
@@ -223,7 +206,7 @@ def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: S
         yield where, columns, rho[index], _params_valid(columns) & state_valid[index]
 
 
-def _block_ic(columns: Mapping[str, np.ndarray], rho: np.ndarray) -> np.ndarray:
+def _block_ic(columns: Mapping[str, np.ndarray | float], rho: np.ndarray) -> np.ndarray:
     asym = columns["asym"]
     return coherent_information_batch(
         columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"], asym / (asym + 1.0), rho
@@ -248,12 +231,12 @@ def grid_sweep(spec: SweepSpec) -> SweepResult:
         if not valid.all():
             bad = int(np.argmin(valid))
             point = {name: float(column[bad]) for name, column in columns.items()}
+            # the constructors check the mask's own rules, in order: the first failure raises
             try:
                 _point_objects(point)
             except NotDensityMatrix as err:
                 at = ", ".join(f"{name}={point[name]:g}" for name in names)
                 raise InvalidStateAtPoint(f"invalid input state at {at}: {err}") from err
-            raise RuntimeError(f"validity mask rejects {point}, which the constructors accept")
         flat[where] = _block_ic(columns, rho)
 
     best = int(np.argmax(flat))
@@ -313,23 +296,15 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
-    # with no active state parameter every point shares one input state: build it once
-    shared = None
-    if not set(active) & set(STATE_NAMES):
-        try:
-            shared = _point_state(base)
-        except NotDensityMatrix:
-            pass  # every point is unphysical; score() raises and scores it -inf
+    # with no active state parameter every point shares one input state: build and check it once
+    shared = None if set(active) & set(STATE_NAMES) else _states(base)
 
     def score(assignment: Mapping[str, float]) -> float:
-        here = dict(base)
-        here.update(assignment)
-        try:
-            params = _point_params(here)
-            rho = shared if shared is not None else _point_state(here)
-        except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
+        here = {**base, **assignment}
+        rho, state_valid = _states(here) if shared is None else shared
+        if not (state_valid and _params_valid(here)):
             return -math.inf
-        return coherent_information_at(params, rho)
+        return float(_block_ic(here, rho))
 
     if not active:
         value = score({})
@@ -352,7 +327,8 @@ def maximize_ic(
     seed = [axis[i] for axis, i in zip(coarse_axes, at)]
 
     def objective(x: np.ndarray) -> float:
-        return -score(dict(zip(active, x)))
+        # Python floats: score's rule checks run as plain float comparisons
+        return -score(dict(zip(active, x.tolist())))
 
     result = minimize(
         objective,

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from lambda_capacity.channel import ChannelMap, DensityMatrix, DimensionMismatch, NotDensityMatrix
-from lambda_capacity.lambda_system import _check_alphas, _check_angles
 from lambda_capacity.linalg import entropy_bits
 
 HERMITICITY_TOL = 1e-10
@@ -190,10 +189,8 @@ def closed_form_channel(
 
     Equivalent to ``channel_map`` at chi = pi/2, phi = 0 up to a fixed sign
     flip of the photon basis states, which leaves every spectrum (and hence
-    every entropy) unchanged.
+    every entropy) unchanged.  The arguments are not checked.
     """
-    _check_angles(theta, math.pi / 2, 0.0)
-    _check_alphas(alpha1, alpha2, gamma_t)
     decay = math.exp(-gamma_t)
     emitted = math.sqrt(1.0 - decay)
     half_sq = math.sin(theta / 2.0) ** 2

@@ -264,6 +264,28 @@ def test_sweep_rejects_negative_gamma_t_axis_start(capsys, tmp_path):
         assert err == f"error: gamma_t must lie in [0, inf], got {float(start)}\n"
 
 
+BEYOND_FLOAT = 10 ** 400  # a JSON integer that no float can hold
+
+
+def test_compute_rejects_integer_beyond_float_range(capsys, tmp_path):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"params": {"theta": BEYOND_FLOAT}}))
+    code, out, err = run(capsys, "compute", "--config", str(config))
+    assert (code, out, err) == (2, "", "error: theta: integer out of float range\n")
+    # past Python's 4300-digit limit the JSON decoder itself refuses the literal
+    config.write_text('{"params": {"theta": 1%s}}' % ("0" * 5000))
+    code, out, err = run(capsys, "compute", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config {config} is not valid JSON: Exceeds the limit")
+
+
+def test_optimize_rejects_bound_beyond_float_range(capsys, tmp_path):
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({"optimize": {"free": ["theta"], "bounds": {"theta": [0, BEYOND_FLOAT]}}}))
+    code, out, err = run(capsys, "optimize", "--config", str(config))
+    assert (code, out, err) == (2, "", "error: theta: integer out of float range\n")
+
+
 def test_unwritable_output_path(capsys, tmp_path):
     code, _, err = run(capsys, "compute", "--out", str(tmp_path / "missing" / "x.txt"))
     assert code == 3

@@ -13,10 +13,11 @@ from lambda_capacity.lambda_system import (
     channel_map,
     coherent_information_at,
     coherent_information_batch,
+    params_mask,
+    _decay,
     _eigvalsh3,
+    _pulse,
     _spectra,
-    decay_isometry,
-    pulse_propagator,
 )
 from lambda_capacity.linalg import entropy_bits
 from oracle import (
@@ -59,18 +60,18 @@ def pulse_by_expm(theta, chi, phi):
 
 
 def test_pulse_theta_zero_is_identity_embedding():
-    u = pulse_propagator(0.0, 0.3, 1.1)
+    u = _pulse(0.0, 0.3, 1.1)
     assert np.allclose(u, np.array([[1, 0], [0, 1], [0, 0]]), atol=1e-14)
 
 
 def test_pulse_full_transfer_on_single_tone():
-    u = pulse_propagator(math.pi, math.pi / 2, 0.0)
+    u = _pulse(math.pi, math.pi / 2, 0.0)
     assert np.allclose(u[:, 0], [0, 0, -1j], atol=1e-12)
     assert np.allclose(u[:, 1], [0, 1, 0], atol=1e-12)
 
 
 def test_pulse_balanced_tones_keep_dark_state():
-    u = pulse_propagator(math.pi, math.pi / 4, 0.0)
+    u = _pulse(math.pi, math.pi / 4, 0.0)
     assert np.allclose(u[:, 0], [0.5, -0.5, -1j / np.sqrt(2)], atol=1e-12)
 
 
@@ -78,29 +79,34 @@ def test_pulse_matches_trig_form_on_grid():
     for theta in np.linspace(0.0, 2.0 * math.pi, 7):
         for chi in np.linspace(0.0, math.pi / 2, 5):
             for phi in (0.0, 0.7, 2.0, 5.5):
-                u = pulse_propagator(theta, chi, phi)
+                u = _pulse(theta, chi, phi)
                 assert np.max(np.abs(u - analytic_pulse(theta, chi, phi))) < 1e-12
                 assert np.max(np.abs(u - pulse_by_expm(theta, chi, phi))) < 1e-12
 
 
 def test_pulse_rejects_bad_angles():
+    # the angle rules, on one point and elementwise over arrays
     with pytest.raises(InvalidAngle):
-        pulse_propagator(math.pi, 2.0, 0.0)
+        LambdaParams(chi=2.0)
     with pytest.raises(InvalidAngle):
-        pulse_propagator(math.nan, 0.5, 0.0)
+        LambdaParams(theta=math.nan)
+    bad = np.array([2.0, -1e-300, math.nan, math.inf])
+    assert params_mask(1.0, 1.0, math.pi, bad, 0.0, math.inf).tolist() == [False] * 4
+    assert params_mask(1.0, 1.0, bad[2:], 0.5, bad[2:][::-1], math.inf).tolist() == [False] * 2
+    assert params_mask(1.0, 1.0, np.array([0.0, 9.0]), np.array([0.0, math.pi / 2]), -9.0, math.inf).all()
 
 
 # -------------------------------------------------------------------- decay
 
 
 def test_decay_nothing_emitted_at_time_zero():
-    v = decay_isometry(0.5, 0.5, 0.0)
+    v = _decay(0.5, 0.5, 0.0)
     assert v[1, 2] == 0.0 and v[5, 2] == 0.0
     assert v[6, 2] == 1.0
 
 
 def test_decay_complete_emission_at_long_times():
-    v = decay_isometry(0.5, 0.5, math.inf)
+    v = _decay(0.5, 0.5, math.inf)
     assert v[6, 2] == 0.0
     assert v[1, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert v[5, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
@@ -109,25 +115,30 @@ def test_decay_complete_emission_at_long_times():
 def test_decay_columns_stay_orthonormal():
     for a1 in (0.0, 0.25, 0.7, 1.0):
         for gt in GT_GRID:
-            v = decay_isometry(a1, 1.0 - a1, gt)
+            v = _decay(a1, 1.0 - a1, gt)
             assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
 
 
 def test_decay_excited_population_follows_exponential():
     psi = np.array([0.3, 0.4j, math.sqrt(1 - 0.25)])
     for gt in (0.0, 0.7, 2.0, math.inf):
-        m = (decay_isometry(0.3, 0.7, gt) @ psi).reshape(3, 3)
+        m = (_decay(0.3, 0.7, gt) @ psi).reshape(3, 3)
         atom = m @ m.conj().T
         assert abs(atom[2, 2].real - 0.75 * math.exp(-gt)) < 1e-12
 
 
 def test_decay_rejects_bad_parameters():
+    # the decay rules, on one point and elementwise over arrays
     with pytest.raises(InvalidAlphas):
-        decay_isometry(-0.1, 1.1, 1.0)
+        LambdaParams(gamma13=-0.1, gamma23=1.1)
     with pytest.raises(InvalidAlphas):
-        decay_isometry(0.5, 0.4, 1.0)
-    with pytest.raises(InvalidAlphas):
-        decay_isometry(0.5, 0.5, -1.0)
+        LambdaParams(gamma_t=-1.0)
+    rates = np.array([-0.1, 0.0, math.inf, math.nan])
+    assert params_mask(rates, np.array([1.1, 0.0, 1.0, 1.0]), 1.0, 0.5, 0.0, 1.0).tolist() == [False] * 4
+    gamma_t = np.array([-1.0, math.nan, 0.0, math.inf])
+    assert params_mask(1.0, 1.0, 1.0, 0.5, 0.0, gamma_t).tolist() == [False, False, True, True]
+    # two infinite rates of opposite sign sum to NaN: rejected, with no warning
+    assert not params_mask(math.inf, -math.inf, 1.0, 0.5, 0.0, 1.0)
 
 
 # --------------------------------------------------------------- parameters
@@ -174,8 +185,8 @@ def test_composed_isometry_is_isometric():
     for theta in np.linspace(0.0, 2.0 * math.pi, 5):
         for chi in np.linspace(0.0, math.pi / 2, 4):
             for gt in GT_GRID:
-                u = pulse_propagator(theta, chi, 0.4)
-                v = decay_isometry(0.3, 0.7, gt)
+                u = _pulse(theta, chi, 0.4)
+                v = _decay(0.3, 0.7, gt)
                 w = v @ u
                 assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-12
 
@@ -331,7 +342,7 @@ def test_closed_form_spectra_match_lapack_at_edges():
     ours = entropy_bits(spectra)
     # the states built from the isometry W = V U, one point at a time
     w = np.array([
-        (decay_isometry(a1, 1.0 - a1, gt) @ pulse_propagator(th, ch, ph)).reshape(3, 3, 2)
+        (_decay(a1, 1.0 - a1, gt) @ _pulse(th, ch, ph)).reshape(3, 3, 2)
         for th, ch, ph, gt, a1 in zip(theta, chi, phi, gamma_t, alpha1)
     ])
     field = np.einsum("ikam,imn,ikbn->iab", w, rho, w.conj())

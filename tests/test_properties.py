@@ -5,6 +5,7 @@ asym = 0, rho11 in {0, 1} and pure inputs on the boundary
 |rho12|^2 = rho11 (1 - rho11), besides random interior points.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -100,3 +101,53 @@ def test_mixed_input_invariances_at_theta_2():
     for chi_end, want in ((0.0, 0.176331), (HALF_PI, 0.347004)):
         params = LambdaParams(gamma13=0.5, gamma23=1.0, theta=2.0, chi=chi_end, gamma_t=math.inf)
         assert round(coherent_information(channel_map(params), maximally_mixed(2)), 6) == want
+
+
+def _objects(point):
+    """(params, rho) of a point given as a dict of the LambdaParams fields and rho11, rho12."""
+    fields = {k: v for k, v in point.items() if k not in ("rho11", "rho12")}
+    rho12 = point["rho12"]
+    return LambdaParams(**fields), qubit_state(point["rho11"], rho12.real, rho12.imag)
+
+
+def _as_dict(params, rho):
+    fields = ("gamma13", "gamma23", "theta", "chi", "phi", "gamma_t")
+    return {**{k: getattr(params, k) for k in fields}, "rho11": rho.matrix[0, 0].real, "rho12": rho.matrix[0, 1]}
+
+
+def _batch(points):
+    """coherent_information_batch over these points, repeated to CLOSED_FORM_MIN points or more."""
+    objects = [_objects(p) for p in points] * -(-CLOSED_FORM_MIN // len(points))
+    columns = zip(*((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1) for p, _ in objects))
+    rho = np.array([rho.matrix for _, rho in objects])
+    return coherent_information_batch(*(np.array(column) for column in columns), rho)
+
+
+def _symmetries(a):
+    """The exact symmetries of I_c, as maps of a point's dict (see _objects)."""
+    return {
+        # a phase e^{-ia} on |1>: b -> D b and rho -> D rho D^dag with D = diag(e^{-ia}, 1)
+        "phase": lambda p: {**p, "phi": p["phi"] + a, "rho12": p["rho12"] * cmath.exp(-1j * a)},
+        # |1> <-> |2>: the bright state becomes e^{-i phi} times that of (pi/2 - chi, -phi)
+        "swap": lambda p: {
+            **p, "chi": HALF_PI - p["chi"], "phi": -p["phi"], "gamma13": p["gamma23"], "gamma23": p["gamma13"],
+            "rho11": 1.0 - p["rho11"], "rho12": p["rho12"].conjugate(),
+        },
+        # sin(theta/2) changes sign, which a phase on |3> undoes; cos(theta/2) does not
+        "-theta": lambda p: {**p, "theta": -p["theta"]},
+        "theta + 4 pi": lambda p: {**p, "theta": p["theta"] + 2.0 * TWO_PI},
+    }
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(points(), min_size=1, max_size=25), st.floats(0.1, 3.0))
+def test_exact_symmetries(batch, a):
+    # a phase a away from 0 and 2 pi, where the phase map moves nothing
+    originals = [_as_dict(params, rho) for params, rho in batch]
+    before = _batch(originals)
+    for name, symmetry in _symmetries(a).items():
+        moved = [symmetry(p) for p in originals]
+        for p, q in zip(originals, moved):
+            one, other = (coherent_information_at(*_objects(x)) for x in (p, q))
+            assert abs(one - other) <= 1e-12, name
+        assert np.abs(_batch(moved) - before).max() <= 1e-12, name

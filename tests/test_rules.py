@@ -1,0 +1,68 @@
+"""The exact error of every validity rule: parameters, density matrices, probability tables."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from lambda_capacity.channel import DensityMatrix, JointProbabilityTable, NotDensityMatrix, _density_checks
+from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle, LambdaParams
+from lambda_capacity.linalg import NotNormalized
+
+# one violating value per parameter rule, in rule order, then a point that
+# breaks two rules: the earlier rule is the one reported
+PARAM_CASES = [
+    ({"gamma23": math.inf}, InvalidAlphas, "decay rates must be finite"),
+    ({"gamma13": -1.0}, InvalidAlphas, "need gamma13, gamma23 >= 0 with a positive sum, got (-1.0, 1.0)"),
+    ({"gamma_t": math.nan}, InvalidAlphas, "gamma_t must lie in [0, inf], got nan"),
+    ({"phi": -math.inf}, InvalidAngle, "theta and phi must be finite, got (3.141592653589793, -inf)"),
+    ({"chi": 3.0}, InvalidAngle, "chi must lie in [0, pi/2], got 3.0"),
+    ({"delta_R": 0.2}, ValueError, "only zero two-photon detuning is supported"),
+    ({"gamma13": 0.0, "gamma23": 0.0, "chi": -0.5}, InvalidAlphas,
+     "need gamma13, gamma23 >= 0 with a positive sum, got (0.0, 0.0)"),
+]
+
+# one violating matrix per density check, in check order, then one that breaks two
+DENSITY_CASES = [
+    (np.ones((2, 3)) / 2.0, "expected a square matrix, got shape (2, 3)"),
+    (np.array([[0.5, math.nan], [0.0, 0.5]]), "matrix contains NaN or Inf entries"),
+    (np.array([[0.5, 0.3], [0.1, 0.5]]), "Hermiticity deviation 2.000e-01"),
+    (0.4 * np.eye(2), "trace (0.8+0j) is not 1"),
+    (np.diag([1.5, -0.5]), "negative eigenvalue -5.000e-01"),
+    (np.array([[0.7, 0.3], [0.1, 0.7]]), "Hermiticity deviation 2.000e-01"),
+]
+
+
+def test_cases_break_each_rule_in_turn():
+    # case k breaks rule k alone
+    defaults = vars(LambdaParams())
+    for k, (values, _, _) in enumerate(PARAM_CASES[:len(PARAM_RULES)]):
+        point = SimpleNamespace(**{**defaults, **values})
+        assert [i for i, (_, _, holds) in enumerate(PARAM_RULES) if not holds(point)] == [k]
+    # case k fails check k first (a zeroed non-finite matrix fails the trace check too)
+    for k, (matrix, _) in enumerate(DENSITY_CASES[1:5]):
+        checks = _density_checks(np.asarray(matrix, dtype=complex)[None])
+        assert [i for i, (passes, _) in enumerate(checks) if not passes[0]][0] == k
+
+
+@pytest.mark.parametrize("values, error, message", PARAM_CASES)
+def test_parameter_rule_messages(values, error, message):
+    with pytest.raises(error) as caught:
+        LambdaParams(**values)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("matrix, message", DENSITY_CASES)
+def test_density_check_messages(matrix, message):
+    with pytest.raises(NotDensityMatrix) as caught:
+        DensityMatrix(matrix)
+    assert type(caught.value) is NotDensityMatrix
+    assert str(caught.value) == message
+
+
+def test_probability_table_message():
+    with pytest.raises(NotNormalized) as caught:
+        JointProbabilityTable(np.full((2, 2), 0.2))
+    assert str(caught.value) == "table sums to 0.8, expected 1"

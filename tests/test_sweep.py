@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lambda_capacity.channel import NotDensityMatrix, density_mask, qubit_matrices
-from lambda_capacity.lambda_system import InvalidAlphas, InvalidAngle
+from lambda_capacity.channel import NotDensityMatrix, _density_checks, density_mask, qubit_matrices
+from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle
 from lambda_capacity.sweep import (
     Axis,
     DEFAULTS,
@@ -100,12 +101,13 @@ def test_sweep_rejects_first_unphysical_parameter_point():
         grid_sweep(spec)
 
 
-def _scalar_accepts(point):
+def _scalar_error(point):
+    """The error that the constructors raise at this point, or None."""
     try:
         _point_objects(point)
-    except (NotDensityMatrix, InvalidAngle, InvalidAlphas):
-        return False
-    return True
+    except (NotDensityMatrix, InvalidAngle, InvalidAlphas) as err:
+        return err
+    return None
 
 
 def test_block_validity_mask_matches_scalar_constructors():
@@ -134,17 +136,31 @@ def test_block_validity_mask_matches_scalar_constructors():
         "re_rho12": sometimes(radius * np.cos(angle), [1.7e308, math.inf]),
         "im_rho12": radius * np.sin(angle),
     }
-    _, state_valid = _states(columns)
+    rho, state_valid = _states(columns)
     valid = _params_valid(columns) & state_valid
-    scalar = [_scalar_accepts({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
-    assert valid.tolist() == scalar
-    assert 0.2 < np.mean(scalar) < 0.8
+    errors = [_scalar_error({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
+    assert valid.tolist() == [err is None for err in errors]
+    assert 0.2 < valid.mean() < 0.8
+
+    # each rejected point's error is the first rule that fails there, with the
+    # rules evaluated over the whole block as the mask evaluates them
+    fields = {name: columns[name] for name in ("theta", "chi", "phi", "gamma_t")}
+    fields.update(gamma13=columns["asym"], gamma23=np.ones(n), delta_R=np.zeros(n))
+    rules = [(error, template, holds(SimpleNamespace(**fields))) for error, template, holds in PARAM_RULES]
+    checks = _density_checks(rho)
+    for i, err in enumerate(errors):
+        if err is None:
+            continue
+        at = SimpleNamespace(**{name: float(column[i]) for name, column in fields.items()})
+        failing = [(error, template.format(p=at)) for error, template, passes in rules if not passes[i]]
+        failing += [(NotDensityMatrix, message(i)) for passes, message in checks if not passes[i]]
+        assert (type(err), str(err)) == failing[0]
 
     # a non-finite theta given as a fixed value rejects every point of the grid
     base = dict(DEFAULTS, theta=math.inf, rho11=0.3)
     for _, block, _, valid in _grid_blocks(base, ["chi"], [np.linspace(0.0, half_pi, 5)]):
         assert not valid.any()
-        assert not any(_scalar_accepts({k: float(v[i]) for k, v in block.items()}) for i in range(5))
+        assert all(_scalar_error({k: float(v[i]) for k, v in block.items()}) for i in range(5))
 
 
 def _boundary_coherences(rng, rho11_values, count):
