@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import NotDensityMatrix, validate_channel
@@ -37,7 +36,6 @@ from .sweep import (
     SweepSpec,
     UnknownFigure,
     _point_objects,
-    _point_params,
     figure_preset,
     grid_sweep,
     maximize_ic,
@@ -53,6 +51,8 @@ EXIT_VALIDATION = 5
 RATE_KEYS = ("gamma13", "gamma23")
 CHANNEL_KEYS = RATE_KEYS + tuple(name for name in PARAM_NAMES if name not in STATE_NAMES)
 AXIS_KEYS = ("name", "start", "stop", "points")
+# the config's top-level keys, in the order --dump-config writes them
+SECTIONS = ("params", "input_state", "sweep", "optimize", "figure", "output", "format")
 
 # one flag per parameter, in --help order
 FLAG_HELP = {
@@ -69,22 +69,6 @@ FLAG_HELP = {
 
 class ConfigError(ValueError):
     """Bad config file or flag combination."""
-
-
-@dataclass
-class RunConfig:
-    """Fully merged run request (defaults + config file + flags)."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
-    sweep_axes: list | None = None
-    sweep_fixed: dict = field(default_factory=dict)
-    opt_free: list | None = None
-    opt_bounds: dict = field(default_factory=dict)
-    figure: str | None = None
-    output: str | None = None
-    fmt: str = "csv"
 
 
 def _fmt(x: float) -> str:
@@ -125,7 +109,12 @@ def _section(value, where: str, allowed: tuple[str, ...] | None = None) -> dict:
     return value
 
 
-def _load_file(path: str, cfg: RunConfig) -> None:
+def _load_file(path: str) -> dict:
+    """The config at ``path``, checked, in the file's layout with its numbers as floats.
+
+    ``params`` and ``input_state`` are always there, the maximally mixed
+    input as an empty ``input_state``, and so is ``format``.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
@@ -134,13 +123,13 @@ def _load_file(path: str, cfg: RunConfig) -> None:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(raw, ("params", "input_state", "sweep", "optimize", "figure", "output", "format"), "config")
+    _check_keys(raw, SECTIONS, "config")
 
-    cfg.params = _numbers(_section(raw.get("params", {}), "params", CHANNEL_KEYS))
+    cfg = {"params": _numbers(_section(raw.get("params", {}), "params", CHANNEL_KEYS)), "input_state": {}}
 
     state = raw.get("input_state")
     if isinstance(state, dict):
-        cfg.state = _numbers(_section(state, "input_state", STATE_NAMES))
+        cfg["input_state"] = _numbers(_section(state, "input_state", STATE_NAMES))
     elif state not in (None, "maximally_mixed"):
         raise ConfigError(f"input_state must be \"maximally_mixed\" or an object, got {state!r}")
 
@@ -149,7 +138,7 @@ def _load_file(path: str, cfg: RunConfig) -> None:
         axes = sweep.get("axes", [])
         if not isinstance(axes, list):
             raise ConfigError("sweep.axes must be a list")
-        cfg.sweep_axes = []
+        cfg["sweep"] = {"axes": [], "fixed": {}}
         for i, entry in enumerate(axes):
             where = f"sweep.axes[{i}]"
             _section(entry, where, AXIS_KEYS)
@@ -159,7 +148,7 @@ def _load_file(path: str, cfg: RunConfig) -> None:
             points = entry["points"]
             if isinstance(points, bool) or not isinstance(points, int):
                 raise ConfigError(f"{where}.points must be an integer")
-            cfg.sweep_axes.append(
+            cfg["sweep"]["axes"].append(
                 {
                     "name": str(entry["name"]),
                     "start": _number(entry["start"], "start"),
@@ -167,45 +156,43 @@ def _load_file(path: str, cfg: RunConfig) -> None:
                     "points": points,
                 }
             )
-        cfg.sweep_fixed = _numbers(_section(sweep.get("fixed", {}), "sweep.fixed"))
+        cfg["sweep"]["fixed"] = _numbers(_section(sweep.get("fixed", {}), "sweep.fixed"))
 
     if raw.get("optimize") is not None:
         opt = _section(raw["optimize"], "optimize", ("free", "bounds"))
         free = opt.get("free", [])
         if not isinstance(free, list) or not all(isinstance(n, str) for n in free):
             raise ConfigError("optimize.free must be a list of parameter names")
-        cfg.opt_free = list(free)
-        cfg.opt_bounds = {}
+        cfg["optimize"] = {"free": list(free), "bounds": {}}
         for name, pair in _section(opt.get("bounds", {}), "optimize.bounds").items():
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError(f"optimize.bounds[{name!r}] must be a [lo, hi] pair")
-            cfg.opt_bounds[name] = [_number(pair[0], name), _number(pair[1], name)]
+            cfg["optimize"]["bounds"][name] = [_number(pair[0], name), _number(pair[1], name)]
 
     for key in ("figure", "output"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"{key} must be a string")
-    cfg.figure = raw.get("figure")
-    cfg.output = raw.get("output")
-    cfg.fmt = raw.get("format", "csv")
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
+        if key in raw:
+            if not isinstance(raw[key], str):
+                raise ConfigError(f"{key} must be a string")
+            cfg[key] = raw[key]
+    cfg["format"] = raw.get("format", "csv")
+    if cfg["format"] not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
+    return cfg
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the optional config file, and flags into a RunConfig."""
-    cfg = RunConfig(command=args.command)
-    if args.config:
-        _load_file(args.config, cfg)
+def build_config(args: argparse.Namespace) -> dict:
+    """The run's config: the config file, or an empty one, with the flags written into it."""
+    cfg = _load_file(args.config) if args.config else {"params": {}, "input_state": {}, "format": "csv"}
     for name in FLAG_HELP:
         value = getattr(args, name)
         if value is not None:
-            (cfg.state if name in STATE_NAMES else cfg.params)[name] = value
+            cfg["input_state" if name in STATE_NAMES else "params"][name] = value
     if getattr(args, "figure", None):
-        cfg.figure = args.figure
+        cfg["figure"] = args.figure
     if args.out:
-        cfg.output = args.out
+        cfg["output"] = args.out
     if args.format:
-        cfg.fmt = args.format
+        cfg["format"] = args.format
     return cfg
 
 
@@ -218,42 +205,33 @@ def _jsonable(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def dump_config(cfg: RunConfig) -> str:
-    """Serialize the merged config; reloading it reproduces the same run."""
-    doc: dict = {}
-    if cfg.params:
-        doc["params"] = cfg.params
-    doc["input_state"] = cfg.state if cfg.state else "maximally_mixed"
-    if cfg.sweep_axes is not None:
-        doc["sweep"] = {"axes": cfg.sweep_axes, "fixed": cfg.sweep_fixed}
-    if cfg.opt_free is not None:
-        doc["optimize"] = {"free": cfg.opt_free, "bounds": cfg.opt_bounds}
-    if cfg.figure is not None:
-        doc["figure"] = cfg.figure
-    if cfg.output is not None:
-        doc["output"] = cfg.output
-    doc["format"] = cfg.fmt
+def dump_config(cfg: dict) -> str:
+    """Serialize the merged config in SECTIONS order; reloading it reproduces the same run."""
+    doc = {key: cfg[key] for key in SECTIONS if key in cfg}
+    if not doc["params"]:
+        del doc["params"]
+    doc["input_state"] = cfg["input_state"] or "maximally_mixed"
     return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
-def _point(cfg: RunConfig) -> dict:
+def _point(cfg: dict) -> dict:
     """The run's parameter point: defaults, then params and input state.
 
     Given ``asym``, the rate keys are dropped; without it they set the decay rates.
     """
-    point = {**DEFAULTS, **cfg.params, **cfg.state}
-    if "asym" in cfg.params:
+    point = {**DEFAULTS, **cfg["params"], **cfg["input_state"]}
+    if "asym" in cfg["params"]:
         for key in RATE_KEYS:
             point.pop(key, None)
     return point
 
 
-def _sweep_overrides(cfg: RunConfig) -> dict:
+def _sweep_overrides(cfg: dict) -> dict:
     """Explicit params/state entries, translated to the sweep universe."""
-    for key in cfg.params:
+    for key in cfg["params"]:
         if key in RATE_KEYS:
             raise ConfigError(f"{key} cannot be fixed in a sweep; use asym (ratio of decay rates)")
-    return {**cfg.params, **cfg.state}
+    return {**cfg["params"], **cfg["input_state"]}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -304,94 +282,86 @@ def format_grid_json(result: SweepResult) -> str:
     return json.dumps(_jsonable(doc), indent=2).replace('"values": null', '"values": ' + grid, 1) + "\n"
 
 
-def run_compute(cfg: RunConfig) -> int:
+def _aligned(rows, width: int) -> str:
+    """One line per (label, text) row, each text starting at column ``width``."""
+    return "".join(label.ljust(width) + text + "\n" for label, text in rows)
+
+
+def run_compute(cfg: dict) -> int:
     params, rho = _point_objects(_point(cfg))
     spectra = _spectra(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, rho.matrix)
     s_out, s_e = entropy_bits(spectra).tolist()
-    out_spectrum = spectra[0, ::-1].tolist()
-    # the atom purifies field and mirror, so the 6x6 field-mirror state has
-    # the atom's spectrum and three zeros
-    joint_spectrum = spectra[1, ::-1].tolist() + [0.0, 0.0, 0.0]
-    if cfg.fmt == "json":
-        text = json.dumps(
-            {
-                "Ic": s_out - s_e,
-                "S_out": s_out,
-                "S_e": s_e,
-                "rho_out_spectrum": out_spectrum,
-                "rho_alpha_spectrum": joint_spectrum,
-            },
-            indent=2,
-        ) + "\n"
+    # (text label, JSON key, value); the atom purifies field and mirror, so the
+    # 6x6 field-mirror state has the atom's spectrum and three zeros
+    rows = (
+        ("I_c", "Ic", s_out - s_e),
+        ("S_out", "S_out", s_out),
+        ("S_e", "S_e", s_e),
+        ("rho_out spectrum", "rho_out_spectrum", spectra[0, ::-1].tolist()),
+        ("rho_alpha spectrum", "rho_alpha_spectrum", spectra[1, ::-1].tolist() + [0.0, 0.0, 0.0]),
+    )
+    if cfg["format"] == "json":
+        text = json.dumps({key: value for _, key, value in rows}, indent=2) + "\n"
     else:
-        text = "\n".join(
-            [
-                f"I_c                {_fmt(s_out - s_e)}",
-                f"S_out              {_fmt(s_out)}",
-                f"S_e                {_fmt(s_e)}",
-                "rho_out spectrum   " + " ".join(_fmt(v) for v in out_spectrum),
-                "rho_alpha spectrum " + " ".join(_fmt(v) for v in joint_spectrum),
-            ]
-        ) + "\n"
-    _emit(text, cfg.output)
+        values = ((label, value if isinstance(value, list) else [value]) for label, _, value in rows)
+        text = _aligned(((label, " ".join(map(_fmt, value))) for label, value in values), 19)
+    _emit(text, cfg.get("output"))
     return EXIT_OK
 
 
-def _run_grid(cfg: RunConfig, spec: SweepSpec) -> int:
+def _run_grid(cfg: dict, spec: SweepSpec) -> int:
     result = grid_sweep(spec)
-    _emit(format_grid_json(result) if cfg.fmt == "json" else format_csv(result), cfg.output)
+    _emit(format_grid_json(result) if cfg["format"] == "json" else format_csv(result), cfg.get("output"))
     return EXIT_OK
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    if not cfg.sweep_axes:
+def run_sweep(cfg: dict) -> int:
+    sweep = cfg.get("sweep")
+    if not (sweep and sweep["axes"]):
         raise ConfigError("sweep requires a config file with a sweep.axes list")
-    axes = tuple(Axis(**axis) for axis in cfg.sweep_axes)
-    return _run_grid(cfg, SweepSpec(axes=axes, fixed={**cfg.sweep_fixed, **_sweep_overrides(cfg)}))
+    axes = tuple(Axis(**axis) for axis in sweep["axes"])
+    return _run_grid(cfg, SweepSpec(axes=axes, fixed={**sweep["fixed"], **_sweep_overrides(cfg)}))
 
 
-def run_figure(cfg: RunConfig) -> int:
-    if not cfg.figure:
+def run_figure(cfg: dict) -> int:
+    if not cfg.get("figure"):
         raise ConfigError("figure requires an id (--figure or config key \"figure\")")
-    preset = figure_preset(cfg.figure)
+    preset = figure_preset(cfg["figure"])
     return _run_grid(cfg, SweepSpec(axes=preset.axes, fixed={**preset.fixed, **_sweep_overrides(cfg)}))
 
 
 def _optimum_report(point: dict, value: float, iterations: int) -> str:
-    lines = [f"{name}*".ljust(19) + _fmt(point[name]) for name in sorted(point)]
-    lines.append(f"I_c*               {_fmt(value)}")
-    lines.append(f"iterations         {iterations}")
-    return "\n".join(lines) + "\n"
+    rows = [(f"{name}*", _fmt(point[name])) for name in sorted(point)]
+    return _aligned(rows + [("I_c*", _fmt(value)), ("iterations", str(iterations))], 19)
 
 
-def run_optimize(cfg: RunConfig) -> int:
-    if cfg.opt_free is None:
+def run_optimize(cfg: dict) -> int:
+    if "optimize" not in cfg:
         raise ConfigError("optimize requires a config file with an optimize.free list")
-    bounds = {name: (lo, hi) for name, (lo, hi) in cfg.opt_bounds.items()}
+    free = cfg["optimize"]["free"]
     fixed = _sweep_overrides(cfg)
-    for name in cfg.opt_free:
+    for name in free:
         fixed.pop(name, None)
     try:
-        best = maximize_ic(cfg.opt_free, bounds, fixed=fixed)
+        best = maximize_ic(free, cfg["optimize"]["bounds"], fixed=fixed)
     except NoConvergence as err:
-        _emit(_optimum_report(err.point, err.value, err.iterations), cfg.output)
+        _emit(_optimum_report(err.point, err.value, err.iterations), cfg.get("output"))
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    _emit(_optimum_report(best.point, best.value, best.iterations), cfg.output)
+    _emit(_optimum_report(best.point, best.value, best.iterations), cfg.get("output"))
     return EXIT_OK
 
 
-def run_validate(cfg: RunConfig) -> int:
-    report = validate_channel(channel_map(_point_params(_point(cfg))))
-    text = "\n".join(
-        [
-            f"trace deviation        {report.trace_deviation:.3e}",
-            f"hermiticity deviation  {report.hermiticity_deviation:.3e}",
-            f"min Choi eigenvalue    {report.min_choi_eigenvalue:.3e}",
-            f"result                 {'PASS' if report.passes else 'FAIL'}",
-        ]
-    ) + "\n"
-    _emit(text, cfg.output)
+def run_validate(cfg: dict) -> int:
+    params, _ = _point_objects(_point(cfg))  # the input state is checked as compute checks it
+    report = validate_channel(channel_map(params))
+    rows = (
+        ("trace deviation", f"{report.trace_deviation:.3e}"),
+        ("hermiticity deviation", f"{report.hermiticity_deviation:.3e}"),
+        ("min Choi eigenvalue", f"{report.min_choi_eigenvalue:.3e}"),
+        ("result", "PASS" if report.passes else "FAIL"),
+    )
+    _emit(_aligned(rows, 23), cfg.get("output"))
     return EXIT_OK if report.passes else EXIT_VALIDATION
 
 
@@ -455,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
         if args.dump_config:
             Path(args.dump_config).write_text(dump_config(cfg))
-        return _RUNNERS[cfg.command](cfg)
+        return _RUNNERS[args.command](cfg)
     except _NUMERIC_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

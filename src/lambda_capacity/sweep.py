@@ -144,14 +144,10 @@ class Optimum:
 
 
 def _point_objects(point: Mapping[str, float]) -> tuple[LambdaParams, DensityMatrix]:
-    """The parameters and input state of one point; the constructors raise on bad values."""
-    return _point_params(point), qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
-
-
-def _point_params(point: Mapping[str, float]) -> LambdaParams:
+    """The parameters and input state of one point; the constructors raise on bad values, parameters first."""
     # asym r means decay rates in ratio r : 1 toward levels 1 and 2; a point
     # may instead carry the rates gamma13, gamma23 themselves
-    return LambdaParams(
+    params = LambdaParams(
         gamma13=point.get("gamma13", point["asym"]),
         gamma23=point.get("gamma23", 1.0),
         theta=point["theta"],
@@ -159,6 +155,7 @@ def _point_params(point: Mapping[str, float]) -> LambdaParams:
         phi=point["phi"],
         gamma_t=point["gamma_t"],
     )
+    return params, qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
 
 
 def _states(columns: Mapping[str, np.ndarray | float]) -> tuple[np.ndarray, np.ndarray]:

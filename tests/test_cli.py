@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambda_capacity import cli, sweep
 from lambda_capacity.channel import ChannelMap
@@ -57,6 +60,15 @@ def test_compute_rejects_unphysical_state(capsys):
     assert err.startswith("error: negative eigenvalue")
 
 
+def test_validate_rejects_unphysical_state(capsys):
+    # validate checks the input state as compute does, though its report does not use it
+    argv = ["--rho11", "0.1", "--re-rho12", "0.6"]
+    code, out, err = run(capsys, "validate", *argv)
+    assert (code, out, err) == run(capsys, "compute", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: negative eigenvalue")
+
+
 def test_compute_rejects_bad_gamma_t(capsys):
     code, _, err = run(capsys, "compute", "--gamma-t", "soon")
     assert code == 2
@@ -70,6 +82,30 @@ def test_compute_accepts_inf_gamma_t(capsys):
 
 def _flag(name, value):
     return f"--{name.replace('_', '-')}={value}"
+
+
+EDGE_VALUES = (
+    "0", "-0.0", "5e-324", "1e300", "1.7976931348623157e308", "inf", "-inf", "nan",
+    repr(math.nextafter(math.pi / 2, 0.0)), repr(math.nextafter(math.pi / 2, 4.0)), "-1",
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["compute", "validate"]),
+    st.lists(st.tuples(st.sampled_from(sweep.PARAM_NAMES), st.sampled_from(EDGE_VALUES)), min_size=1, max_size=3),
+)
+def test_edge_values_end_in_documented_exit_codes(command, flags):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *(_flag(name, value) for name, value in flags)])
+    assert code in (0, 2, 3, 5), (code, err.getvalue())
+    if code in (0, 5):
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue().startswith("error: ")
+    # an error message may echo a nan it was given; a report may not print one
+    assert "nan" not in out.getvalue().lower()
 
 
 def test_compute_report_matches_purification_route(capsys):
@@ -386,6 +422,68 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def test_dump_config_writes_sections_in_order(capsys, tmp_path):
+    # sections and their keys out of order, integers where floats go, and the
+    # non-finite spellings; flags replace what they name in place
+    config = tmp_path / "every.json"
+    config.write_text(json.dumps({
+        "format": "csv",
+        "output": "from-file.txt",
+        "figure": "fig1a",
+        "optimize": {"bounds": {"chi": ["-inf", 1]}, "free": ["chi"]},
+        "sweep": {
+            "fixed": {"phi": "nan", "gamma_t": "inf"},
+            "axes": [{"points": 3, "stop": "inf", "start": 0, "name": "gamma_t"}],
+        },
+        "input_state": "maximally_mixed",
+        "params": {"gamma_t": 2, "asym": 0.5},
+    }))
+    report, dump = tmp_path / "report.json", tmp_path / "dump.json"
+    code, out, err = run(
+        capsys, "validate", "--config", str(config), "--theta", "1.5", "--gamma-t", "inf",
+        "--format", "json", "--out", str(report), "--dump-config", str(dump),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert report.read_text().endswith("result                 PASS\n")
+    assert dump.read_text() == """{
+  "params": {
+    "gamma_t": "inf",
+    "asym": 0.5,
+    "theta": 1.5
+  },
+  "input_state": "maximally_mixed",
+  "sweep": {
+    "axes": [
+      {
+        "name": "gamma_t",
+        "start": 0.0,
+        "stop": "inf",
+        "points": 3
+      }
+    ],
+    "fixed": {
+      "phi": "nan",
+      "gamma_t": "inf"
+    }
+  },
+  "optimize": {
+    "free": [
+      "chi"
+    ],
+    "bounds": {
+      "chi": [
+        "-inf",
+        1.0
+      ]
+    }
+  },
+  "figure": "fig1a",
+  "output": %s,
+  "format": "json"
+}
+""" % json.dumps(str(report))
+
+
 def test_dump_config_round_trip(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -396,9 +494,18 @@ def test_dump_config_round_trip(capsys, tmp_path):
             "fixed": {"gamma_t": "inf"},
         },
     }))
+    optimize_config = tmp_path / "optimize.json"
+    optimize_config.write_text(json.dumps({
+        "params": {"chi": 0.4, "asym": 0.5},
+        "input_state": {"rho11": 0.3, "im_rho12": 0.2},
+        "optimize": {"free": ["theta"], "bounds": {"theta": [0.0, FULL_TURN]}},
+    }))
     for argv, want in (
         (["compute", "--theta", "1.25", "--rho11", "0.3", "--gamma-t", "inf"], 0),
         (["sweep", "--config", str(sweep_config)], 0),
+        (["figure", "--figure", "fig2b", "--format", "json"], 0),
+        (["optimize", "--config", str(optimize_config), "--phi", "0.7"], 0),
+        (["validate", "--theta", "1.1", "--asym", "0.3", "--rho11", "0.2"], 0),
         # rejected values replay to the same rejection
         (["compute", "--gamma-t=-inf"], 2),
         (["compute", "--theta=-inf"], 2),

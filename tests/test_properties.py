@@ -6,6 +6,7 @@ asym = 0, rho11 in {0, 1} and pure inputs on the boundary
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -133,14 +134,31 @@ def _symmetries(a):
             **p, "chi": HALF_PI - p["chi"], "phi": -p["phi"], "gamma13": p["gamma23"], "gamma23": p["gamma13"],
             "rho11": 1.0 - p["rho11"], "rho12": p["rho12"].conjugate(),
         },
+        # complex conjugation of the pulse and the input state: an antiunitary map, which leaves spectra as they are
+        "conjugate": lambda p: {**p, "phi": -p["phi"], "rho12": p["rho12"].conjugate()},
         # sin(theta/2) changes sign, which a phase on |3> undoes; cos(theta/2) does not
         "-theta": lambda p: {**p, "theta": -p["theta"]},
         "theta + 4 pi": lambda p: {**p, "theta": p["theta"] + 2.0 * TWO_PI},
     }
 
 
+@st.composite
+def phased_points(draw):
+    """A point of ``points`` with phi away from 0 and pi and a complex rho12.
+
+    ``points`` draws phi = 0 and a real rho12 so often that a wrong map of
+    phi and rho12 could pass unseen.
+    """
+    params, _ = draw(points())
+    phi = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, math.pi - 0.2))
+    rho11 = draw(st.floats(0.05, 0.95))
+    radius = draw(st.floats(0.2, 1.0)) * math.sqrt(rho11 * (1.0 - rho11))
+    angle = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, math.pi - 0.2))
+    return dataclasses.replace(params, phi=phi), qubit_state(rho11, radius * math.cos(angle), radius * math.sin(angle))
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.lists(points(), min_size=1, max_size=25), st.floats(0.1, 3.0))
+@given(st.lists(phased_points(), min_size=1, max_size=25), st.floats(0.1, 3.0))
 def test_exact_symmetries(batch, a):
     # a phase a away from 0 and 2 pi, where the phase map moves nothing
     originals = [_as_dict(params, rho) for params, rho in batch]
