@@ -32,6 +32,7 @@ from .sweep import (
     InvalidSpec,
     InvalidStateAtPoint,
     NoConvergence,
+    Optimum,
     SweepResult,
     SweepSpec,
     UnknownFigure,
@@ -330,9 +331,9 @@ def run_figure(cfg: dict) -> int:
     return _run_grid(cfg, SweepSpec(axes=preset.axes, fixed={**preset.fixed, **_sweep_overrides(cfg)}))
 
 
-def _optimum_report(point: dict, value: float, iterations: int) -> str:
-    rows = [(f"{name}*", _fmt(point[name])) for name in sorted(point)]
-    return _aligned(rows + [("I_c*", _fmt(value)), ("iterations", str(iterations))], 19)
+def _optimum_report(best: Optimum) -> str:
+    rows = [(f"{name}*", _fmt(best.point[name])) for name in sorted(best.point)]
+    return _aligned(rows + [("I_c*", _fmt(best.value)), ("iterations", str(best.iterations))], 19)
 
 
 def run_optimize(cfg: dict) -> int:
@@ -345,10 +346,10 @@ def run_optimize(cfg: dict) -> int:
     try:
         best = maximize_ic(free, cfg["optimize"]["bounds"], fixed=fixed)
     except NoConvergence as err:
-        _emit(_optimum_report(err.point, err.value, err.iterations), cfg.get("output"))
+        _emit(_optimum_report(err.best), cfg.get("output"))
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    _emit(_optimum_report(best.point, best.value, best.iterations), cfg.get("output"))
+    _emit(_optimum_report(best), cfg.get("output"))
     return EXIT_OK
 
 
@@ -365,6 +366,16 @@ def run_validate(cfg: dict) -> int:
     return EXIT_OK if report.passes else EXIT_VALIDATION
 
 
+# each subcommand: its runner and its --help line
+COMMANDS = {
+    "compute": (run_compute, "single-point report: I_c, entropies, spectra"),
+    "sweep": (run_sweep, "evaluate I_c on a parameter grid from a config file"),
+    "figure": (run_figure, "run one of the preset grids (fig1a, fig1b, fig2a, fig2b)"),
+    "optimize": (run_optimize, "maximize I_c over chosen parameters"),
+    "validate": (run_validate, "check the channel's physicality diagnostics"),
+}
+
+
 @functools.cache  # parsing leaves the parser as it was, so one parser serves every call
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -372,14 +383,7 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Coherent information of the pulsed Lambda-emitter -> photon-field channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "compute": "single-point report: I_c, entropies, spectra",
-        "sweep": "evaluate I_c on a parameter grid from a config file",
-        "figure": "run one of the preset grids (fig1a, fig1b, fig2a, fig2b)",
-        "optimize": "maximize I_c over chosen parameters",
-        "validate": "check the channel's physicality diagnostics",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="write the report/grid to this path instead of stdout")
@@ -391,14 +395,6 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--figure", help="preset id: fig1a, fig1b, fig2a or fig2b")
     return parser
 
-
-_RUNNERS = {
-    "compute": run_compute,
-    "sweep": run_sweep,
-    "figure": run_figure,
-    "optimize": run_optimize,
-    "validate": run_validate,
-}
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -413,6 +409,7 @@ _NUMERIC_ERRORS = (
     NegativeProbability,
     NotNormalized,
     OSError,
+    MemoryError,
 )
 
 
@@ -425,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
         if args.dump_config:
             Path(args.dump_config).write_text(dump_config(cfg))
-        return _RUNNERS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except _NUMERIC_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC

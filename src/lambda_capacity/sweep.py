@@ -12,6 +12,7 @@ maximally mixed state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -20,9 +21,6 @@ from scipy.optimize import minimize
 
 from .channel import DensityMatrix, NotDensityMatrix, density_mask, qubit_matrices, qubit_state
 from .lambda_system import LambdaParams, coherent_information_batch, params_mask
-
-PARAM_NAMES = ("theta", "chi", "phi", "gamma_t", "rho11", "re_rho12", "im_rho12", "asym")
-STATE_NAMES = ("rho11", "re_rho12", "im_rho12")
 
 DEFAULTS: dict[str, float] = {
     "theta": math.pi,
@@ -34,6 +32,8 @@ DEFAULTS: dict[str, float] = {
     "re_rho12": 0.0,
     "im_rho12": 0.0,
 }
+PARAM_NAMES = tuple(DEFAULTS)
+STATE_NAMES = ("rho11", "re_rho12", "im_rho12")
 
 MAX_FREE = 4
 COARSE_POINTS = 9
@@ -58,13 +58,11 @@ class UnknownFigure(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Optimizer hit its iteration cap; best point found so far is attached."""
+    """Optimizer hit its iteration cap; the best point found so far rides on it as ``best``."""
 
-    def __init__(self, message: str, point: dict[str, float], value: float, iterations: int):
+    def __init__(self, message: str, best: Optimum):
         super().__init__(message)
-        self.point = point
-        self.value = value
-        self.iterations = iterations
+        self.best = best
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,13 @@ class Axis:
 
         A gamma_t axis may end at infinity; such an axis is sampled
         uniformly in the decayed fraction 1 - e^(-gamma_t) (the only form
-        in which gamma_t enters the model), ending exactly at inf.
+        in which gamma_t enters the model), starting exactly at start and
+        ending exactly at inf.
         """
         if not math.isinf(self.stop):
             return np.linspace(self.start, self.stop, self.points)
         with np.errstate(divide="ignore"):
-            try:
-                fractions = np.linspace(1.0 - math.exp(-self.start), 1.0, self.points)
-            except OverflowError:
-                # a start below about -709, unphysical and rejected at this first
-                # point: the same samples, written without e^(-start)
-                return self.start - np.log1p(-np.linspace(0.0, 1.0, self.points))
-            return -np.log1p(-fractions)
+            return self.start - np.log1p(-np.linspace(0.0, 1.0, self.points))
 
 
 @dataclass(frozen=True)
@@ -117,6 +110,9 @@ class SweepSpec:
             stop_ok = math.isfinite(axis.stop) or (axis.name == "gamma_t" and axis.stop == math.inf)
             if not (math.isfinite(axis.start) and stop_ok):
                 raise InvalidSpec(f"axis {axis.name!r} bounds must be finite")
+        size = math.prod(axis.points for axis in self.axes)
+        if size * 8 > sys.maxsize:  # numpy's limit on the bytes of one array
+            raise InvalidSpec(f"a grid of {size} points is too large to allocate")
         for name in self.fixed:
             if name not in PARAM_NAMES:
                 raise InvalidSpec(f"unknown fixed parameter {name!r}")
@@ -176,14 +172,14 @@ def _params_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray:
 
 
 def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
-    """Yield (slice, columns, rho, valid) over the row-major grid of ``axis_values``, BLOCK points at a time.
+    """Yield (start, ic) over the row-major grid of ``axis_values``, BLOCK points at a time.
 
-    ``columns`` maps every parameter name to an array over the block's points:
-    the axis values at those points, ``base`` for the rest.  ``rho`` (n, 2, 2)
-    holds their input states and ``valid`` marks the physical points.  A
-    state depends on the state axes only, so each distinct state is built and
-    checked once, on the sub-grid of those axes (one matrix when none of them
-    varies), before the first block.
+    ``ic`` holds I_c at the block's points, from flat index ``start`` on; a
+    point takes its axis values and ``base`` for the other parameters.
+    Unphysical points are not evaluated and read -inf.  A state depends on
+    the state axes only, so each distinct state is built and checked once,
+    on the sub-grid of those axes (one matrix when none of them varies),
+    before the first block.
     """
     shape = tuple(len(values) for values in axis_values)
     # each axis as an array of length 1 along every other axis
@@ -196,11 +192,13 @@ def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: S
     state_valid = np.broadcast_to(state_valid, shape)
     size = math.prod(shape)
     for start in range(0, size, BLOCK):
-        where = slice(start, min(start + BLOCK, size))
-        index = np.unravel_index(np.arange(where.start, where.stop), shape)
+        index = np.unravel_index(np.arange(start, min(start + BLOCK, size)), shape)
         columns = {name: np.full(len(index[0]), float(value)) for name, value in base.items()}
         columns.update({name: values[i] for name, values, i in zip(names, axis_values, index)})
-        yield where, columns, rho[index], _params_valid(columns) & state_valid[index]
+        valid = _params_valid(columns) & state_valid[index]
+        ic = np.full(len(valid), -np.inf)
+        ic[valid] = _block_ic({name: column[valid] for name, column in columns.items()}, rho[index][valid])
+        yield start, ic
 
 
 def _block_ic(columns: Mapping[str, np.ndarray | float], rho: np.ndarray) -> np.ndarray:
@@ -223,23 +221,26 @@ def grid_sweep(spec: SweepSpec) -> SweepResult:
     axis_values = [axis.values() for axis in spec.axes]
     shape = tuple(len(values) for values in axis_values)
 
+    def axes_at(flat_index: int) -> dict[str, float]:
+        index = np.unravel_index(flat_index, shape)
+        return {name: float(values[i]) for name, values, i in zip(names, axis_values, index)}
+
     flat = np.empty(math.prod(shape), dtype=float)
-    for where, columns, rho, valid in _grid_blocks(base, names, axis_values):
-        if not valid.all():
-            bad = int(np.argmin(valid))
-            point = {name: float(column[bad]) for name, column in columns.items()}
+    for start, block in _grid_blocks(base, names, axis_values):
+        unphysical = block == -np.inf
+        if unphysical.any():
+            point = {name: float(value) for name, value in base.items()}
+            point.update(axes_at(start + int(np.argmax(unphysical))))
             # the constructors check the mask's own rules, in order: the first failure raises
             try:
                 _point_objects(point)
             except NotDensityMatrix as err:
-                at = ", ".join(f"{name}={point[name]:g}" for name in names)
-                raise InvalidStateAtPoint(f"invalid input state at {at}: {err}") from err
-        flat[where] = _block_ic(columns, rho)
+                where = ", ".join(f"{name}={point[name]:g}" for name in names)
+                raise InvalidStateAtPoint(f"invalid input state at {where}: {err}") from err
+        flat[start : start + len(block)] = block
 
     best = int(np.argmax(flat))
-    at = np.unravel_index(best, shape)
-    argmax = {name: float(values[i]) for name, values, i in zip(names, axis_values, at)}
-    return SweepResult(spec=spec, values=flat.reshape(shape), argmax=argmax, max_value=float(flat[best]))
+    return SweepResult(spec=spec, values=flat.reshape(shape), argmax=axes_at(best), max_value=float(flat[best]))
 
 
 def maximize_ic(
@@ -311,12 +312,7 @@ def maximize_ic(
         return Optimum(point=dict(pinned), value=value, iterations=0)
 
     coarse_axes = [np.linspace(*bounds[name], COARSE_POINTS) for name in active]
-    coarse = np.full(COARSE_POINTS ** len(active), -np.inf)
-    for where, columns, rho, valid in _grid_blocks(base, active, coarse_axes):
-        if valid.any():
-            block = coarse[where]  # a view: writes land in coarse
-            kept = {name: column[valid] for name, column in columns.items()}
-            block[valid] = _block_ic(kept, rho[valid])
+    coarse = np.concatenate([block for _, block in _grid_blocks(base, active, coarse_axes)])
     best = int(np.argmax(coarse))
     if coarse[best] == -np.inf:
         raise InvalidSpec(f"every coarse-grid point over {', '.join(active)} is unphysical")
@@ -341,15 +337,10 @@ def maximize_ic(
     )
     point = dict(pinned)
     point.update({name: float(v) for name, v in zip(active, result.x)})
-    value = -float(result.fun)
+    best = Optimum(point=point, value=-float(result.fun), iterations=int(result.nit))
     if not result.success:
-        raise NoConvergence(
-            f"simplex search stopped after {result.nit} iterations without converging",
-            point=point,
-            value=value,
-            iterations=int(result.nit),
-        )
-    return Optimum(point=point, value=value, iterations=int(result.nit))
+        raise NoConvergence(f"simplex search stopped after {result.nit} iterations without converging", best)
+    return best
 
 
 def figure_preset(figure_id: str) -> SweepSpec:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambda_capacity import cli, sweep
-from lambda_capacity.channel import ChannelMap
+from lambda_capacity.channel import ChannelMap, DimensionMismatch, JointProbabilityTable
 from lambda_capacity.cli import _fmt, main
 from lambda_capacity.lambda_system import channel_map
 from oracle import POINT_NAMES, apply_channel, entropy, joint_output, oracle_points, spectrum
@@ -300,6 +300,51 @@ def test_sweep_rejects_negative_gamma_t_axis_start(capsys, tmp_path):
         assert err == f"error: gamma_t must lie in [0, inf], got {float(start)}\n"
 
 
+def test_sweep_gamma_t_axis_to_inf_starts_at_its_start(capsys, tmp_path):
+    config = tmp_path / "sweep.json"
+
+    def gamma_t_sweep(start, fmt):
+        config.write_text(json.dumps({
+            "sweep": {"axes": [{"name": "gamma_t", "start": start, "stop": "inf", "points": 4}]},
+        }))
+        code, out, err = run(capsys, "sweep", "--config", str(config), "--format", fmt)
+        assert (code, err) == (0, "")
+        return out
+
+    # a late start once rounded 1 - e^(-start) to 1 and sampled nothing but inf
+    assert gamma_t_sweep(40, "csv").splitlines()[1] == "40.000000,0.688722"
+    with np.errstate(divide="ignore"):
+        want = 40.0 - np.log1p(-np.linspace(0.0, 1.0, 4))
+    assert json.loads(gamma_t_sweep(40, "json"))["axes"][0]["values"] == want[:-1].tolist() + ["inf"]
+    assert json.loads(gamma_t_sweep(20, "json"))["axes"][0]["values"][0] == 20.0
+
+
+@pytest.mark.parametrize("axes", [[2 ** 62], [10 ** 30], [2 ** 31, 2 ** 31]])
+def test_sweep_rejects_grid_too_large_to_allocate(capsys, tmp_path, monkeypatch, axes):
+    monkeypatch.setattr(cli, "grid_sweep", lambda spec: pytest.fail("the grid reached grid_sweep"))
+    config = tmp_path / "sweep.json"
+    names = ("theta", "chi")
+    config.write_text(json.dumps({
+        "sweep": {"axes": [{"name": name, "start": 0, "stop": 1, "points": n} for name, n in zip(names, axes)]},
+    }))
+    code, out, err = run(capsys, "sweep", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: a grid of {math.prod(axes)} points is too large to allocate\n"
+
+
+def test_sweep_out_of_memory_exits_3(capsys, tmp_path, monkeypatch):
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 4.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "grid_sweep", out_of_memory)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "sweep": {"axes": [{"name": "theta", "start": 0, "stop": 1, "points": 3}]},
+    }))
+    code, out, err = run(capsys, "sweep", "--config", str(config))
+    assert (code, out, err) == (3, "", "error: Unable to allocate 4.00 EiB for an array\n")
+
+
 BEYOND_FLOAT = 10 ** 400  # a JSON integer that no float can hold
 
 
@@ -557,3 +602,61 @@ def test_cached_parser_carries_no_state(capsys, tmp_path):
     assert fresh[1][1] == fresh[7][1]
     assert "I_c                0.688722" in fresh[1][1]
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0]
+
+
+THETA_AXIS = {"name": "theta", "start": 0, "stop": 1, "points": 3}
+
+# (command, config, message): the command exits 2 with this message and no output;
+# a config of None names a file that does not exist.  (call, error, message): the
+# library call raises this error with this message.
+ERROR_MESSAGES = [
+    ("compute", {"params": {"theta": [1]}}, "theta: expected a number, got [1]"),
+    ("compute", {"params": {"theta": "pi"}}, "theta: expected a number or \"inf\", got 'pi'"),
+    ("compute", {"params": []}, "params must be an object"),
+    ("compute", [1, 2], "config root must be an object"),
+    ("compute", {"input_state": "pure"}, "input_state must be \"maximally_mixed\" or an object, got 'pure'"),
+    ("compute", {"format": "xml"}, "format must be csv or json, got 'xml'"),
+    ("compute", None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("sweep", {"sweep": {"axes": {}}}, "sweep.axes must be a list"),
+    ("sweep", {"sweep": {"axes": [{"name": "theta", "start": 0, "stop": 1}]}}, "sweep.axes[0] is missing 'points'"),
+    ("sweep", {"sweep": {"axes": [dict(THETA_AXIS, points=2.5)]}}, "sweep.axes[0].points must be an integer"),
+    ("sweep", {"sweep": {"axes": [THETA_AXIS], "fixed": {"bogus": 1}}}, "unknown fixed parameter 'bogus'"),
+    ("optimize", {"optimize": {"free": "theta"}}, "optimize.free must be a list of parameter names"),
+    (
+        "optimize",
+        {"optimize": {"free": ["theta"], "bounds": {"theta": [0]}}},
+        "optimize.bounds['theta'] must be a [lo, hi] pair",
+    ),
+    (
+        "optimize",
+        {"optimize": {"free": ["theta", "theta"], "bounds": {"theta": [0, 1]}}},
+        "duplicate free parameter",
+    ),
+    ("figure", {"figure": 1}, "figure must be a string"),
+    (
+        lambda: sweep.maximize_ic(["theta"], {"theta": (0.0, 1.0)}, fixed={"bogus": 1.0}),
+        sweep.InvalidSpec,
+        "unknown fixed parameter 'bogus'",
+    ),
+    (lambda: ChannelMap(np.zeros((2, 2, 3))), DimensionMismatch, "expected (din, din, dout, dout), got (2, 2, 3)"),
+    (
+        lambda: ChannelMap(np.full((2, 2, 3, 3), np.nan)),
+        DimensionMismatch,
+        "transfer operators contain NaN or Inf entries",
+    ),
+    (lambda: JointProbabilityTable(np.ones(4) / 4), DimensionMismatch, "expected a 2-D table, got shape (4,)"),
+]
+
+
+@pytest.mark.parametrize("target, source, message", ERROR_MESSAGES)
+def test_error_messages(capsys, tmp_path, target, source, message):
+    if callable(target):
+        with pytest.raises(source) as info:
+            target()
+        assert str(info.value) == message
+        return
+    config = tmp_path / "config.json"
+    if source is not None:
+        config.write_text(json.dumps(source))
+    code, out, err = run(capsys, target, "--config", str(config))
+    assert (code, out, err) == (2, "", f"error: {message.format(path=config)}\n")
