@@ -34,12 +34,14 @@ CLOSED_FORM_MIN points, such as a sweep block, takes both spectra from the
 trigonometric closed form for 3x3 Hermitian matrices (Smith, Commun. ACM 4,
 168 (1961)), and LAPACK's ``eigvalsh`` only at the points the closed form
 cannot resolve: a near-double eigenvalue pair next to a small eigenvalue.
-Smaller calls, such as ``compute`` and each simplex step, take LAPACK at
-every point.
+Smaller calls take LAPACK at every point.  A call at one point, such as
+``compute`` and each simplex step, runs the same arithmetic on Python floats
+and sends both states to one LAPACK call.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -252,6 +254,11 @@ def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
     return matrix
 
 
+# the functions of _spectra's arithmetic: on Python floats for one point, on arrays otherwise
+_POINT_OPS = (cmath.exp, math.sin, math.cos, math.exp, math.expm1, math.sqrt, abs)
+_ARRAY_OPS = (np.exp, np.sin, np.cos, np.exp, np.expm1, np.sqrt, np.abs)
+
+
 def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
     """The field and atom spectra at many points, stacked: shape (2, ..., 3), each ascending.
 
@@ -260,16 +267,24 @@ def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
     atom state right after the pulse; see the module docstring.  Each state
     goes to :func:`_eigvalsh3` as its six diagonal and upper entries: the
     closed form from CLOSED_FORM_MIN points on, with LAPACK at the points it
-    cannot resolve, and LAPACK alone below that.
+    cannot resolve, and LAPACK alone below that.  One point (every angle and
+    rate 0-d, ``rho`` 2x2) runs the same arithmetic on Python floats, with
+    both states in one LAPACK call.
     """
     rho = np.asarray(rho)
-    r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+    point = rho.ndim == 2 and not any(getattr(x, "ndim", 0) for x in (theta, chi, phi, gamma_t, alpha1))
+    if point:
+        (r11, r12), (_, r22) = rho.tolist()
+        r11, r22 = r11.real, r22.real
+    else:
+        r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+    cexp, sin, cos, exp, expm1, sqrt, magnitude_of = _POINT_OPS if point else _ARRAY_OPS
     # bright state b = (b1, b2); b2 is real
-    b1 = np.exp(-1j * phi) * np.sin(chi)
-    b2 = np.cos(chi)
+    b1 = cexp(-1j * phi) * sin(chi)
+    b2 = cos(chi)
     half = 0.5 * theta
-    k = np.cos(half) - 1.0
-    sine = np.sin(half)
+    k = cos(half) - 1.0
+    sine = sin(half)
     # v = rho b, q = b^dag rho b, c = v + (k q / 2) b, d = v + k q b
     v1 = r11 * b1 + r12 * b2
     v2 = r12.conjugate() * b1 + r22 * b2
@@ -285,21 +300,30 @@ def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
     g12 = r12 + k * (b1 * c2.conjugate() + c1 * b2)
     g33 = sine * sine * q
 
-    survive = np.exp(-0.5 * gamma_t)
-    emitted = -np.expm1(-gamma_t)
+    survive = exp(-0.5 * gamma_t)
+    emitted = -expm1(-gamma_t)
     to1 = alpha1 * emitted
     to2 = (1.0 - alpha1) * emitted
     e1, e2, kept = to1 * g33, to2 * g33, survive * survive * g33
-    shape = np.shape(e1)
-    magnitude = np.abs(sine)
+    magnitude = magnitude_of(sine)
     scale = 1j * sine * survive
+    # each state as its diagonal and upper entries
+    field = (g11 + g22 + kept, e1, e2,
+             sqrt(to1) * magnitude * magnitude_of(d1), sqrt(to2) * magnitude * magnitude_of(d2), 0.0)
+    atom = (g11 + e1, g22 + e2, kept, g12, scale * d1, scale * d2)
+    if point:
+        matrices = np.array(_upper3(*field) + _upper3(*atom), dtype=complex).reshape(2, 3, 3)
+        return np.linalg.eigvalsh(matrices, UPLO="U")
+    shape = np.shape(e1)
     spectra = np.empty((2,) + shape + (3,))
-    spectra[0] = _eigvalsh3(
-        shape, g11 + g22 + kept, e1, e2,
-        np.sqrt(to1) * magnitude * np.abs(d1), np.sqrt(to2) * magnitude * np.abs(d2), 0.0,
-    )
-    spectra[1] = _eigvalsh3(shape, g11 + e1, g22 + e2, kept, g12, scale * d1, scale * d2)
+    spectra[0] = _eigvalsh3(shape, *field)
+    spectra[1] = _eigvalsh3(shape, *atom)
     return spectra
+
+
+def _upper3(a11, a22, a33, a12, a13, a23) -> list:
+    """The row-major entries of the 3x3 matrix with these diagonal and upper entries; the lower triangle is zero."""
+    return [a11, a12, a13, 0.0, a22, a23, 0.0, 0.0, a33]
 
 
 def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:

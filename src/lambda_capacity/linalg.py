@@ -33,21 +33,24 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
     """
     p = np.asarray(probabilities, dtype=float)
     rows = np.atleast_2d(p) if p.ndim <= 2 else p.reshape(-1, p.shape[-1])
-    # each check runs over the whole stack; only a failed one looks for the first bad vector
-    if not np.isfinite(rows).all():
+    # one min and one max over the whole stack find NaN, Inf and negative
+    # entries; only a failed check looks for the first bad vector
+    lowest, highest = rows.min(initial=0.0), rows.max(initial=0.0)
+    if not (-np.inf < lowest and highest < np.inf):
         finite = np.isfinite(rows).all(axis=1)
         raise NotNormalized(f"probabilities contain NaN or Inf: {rows[np.argmin(finite)].tolist()}")
-    if rows.min(initial=0.0) < -PROBABILITY_CLAMP:
+    if lowest < -PROBABILITY_CLAMP:
         negative = rows.min(axis=1, initial=0.0) < -PROBABILITY_CLAMP
         smallest = rows[np.argmax(negative)].min()
         raise NegativeProbability(f"probability {smallest:.3e} below -{PROBABILITY_CLAMP:.0e}")
-    rows = np.where(rows < 0.0, 0.0, rows)
+    if lowest < 0.0:
+        rows = np.where(rows < 0.0, 0.0, rows)
     total = rows.sum(axis=1)
     off = np.abs(total - 1.0) > NORMALIZATION_TOL
     if off.any():
         raise NotNormalized(f"probabilities sum to {float(total[np.argmax(off)])!r}, expected 1")
-    positive = rows > 0.0
-    terms = np.where(positive, rows * np.log2(np.where(positive, rows, 1.0)), 0.0)
-    entropy = -terms.sum(axis=1)
+    # log2 at the positive entries only; a zero entry contributes 0
+    logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0.0)
+    entropy = -(rows * logs).sum(axis=1)
     entropy = np.where(entropy > 0.0, entropy, 0.0)
     return float(entropy[0]) if p.ndim <= 1 else entropy.reshape(p.shape[:-1])

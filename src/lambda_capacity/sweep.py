@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
 
 from .channel import DensityMatrix, NotDensityMatrix, density_mask, qubit_matrices, qubit_state
 from .lambda_system import LambdaParams, coherent_information_batch, params_mask
@@ -39,6 +39,10 @@ MAX_FREE = 4
 COARSE_POINTS = 9
 SIMPLEX_TOL = 1e-8
 MAX_ITERATIONS = 2000
+# scipy's Nelder-Mead steps (adaptive=False): reflection, expansion, contraction
+# and shrink coefficients, and the initial step of a nonzero / zero coordinate
+REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
+NONZERO_STEP, ZERO_STEP = 0.05, 0.00025
 # points per evaluation block: bounds the batched temporaries whatever the grid
 # size, holds a 41x41 grid whole, and is far above lambda_system.CLOSED_FORM_MIN,
 # so full blocks take closed-form spectra (LAPACK only at unresolved points)
@@ -251,10 +255,10 @@ def maximize_ic(
     """Maximize I_c over 1-4 parameters with a simplex search.
 
     A coarse grid (9 points per free parameter, evaluated BLOCK points at a
-    time) seeds a bounded Nelder-Mead refinement.  Parameter combinations
-    that imply an unphysical input state score -inf and are thereby
-    rejected.  Degenerate bounds (lo == hi) pin a parameter without
-    consuming a search dimension.
+    time) seeds a bounded Nelder-Mead refinement, :func:`minimize`.
+    Parameter combinations that imply an unphysical input state score -inf
+    and are thereby rejected.  Degenerate bounds (lo == hi) pin a parameter
+    without consuming a search dimension.
 
     Raises
     ------
@@ -317,30 +321,142 @@ def maximize_ic(
     if coarse[best] == -np.inf:
         raise InvalidSpec(f"every coarse-grid point over {', '.join(active)} is unphysical")
     at = np.unravel_index(best, (COARSE_POINTS,) * len(active))
-    seed = [axis[i] for axis, i in zip(coarse_axes, at)]
+    seed = [float(axis[i]) for axis, i in zip(coarse_axes, at)]
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         # Python floats: score's rule checks run as plain float comparisons
-        return -score(dict(zip(active, x.tolist())))
+        return -score(dict(zip(active, x)))
 
-    result = minimize(
-        objective,
-        x0=np.asarray(seed, dtype=float),
-        method="Nelder-Mead",
-        bounds=[bounds[name] for name in active],
-        options={
-            "xatol": SIMPLEX_TOL,
-            "fatol": SIMPLEX_TOL,
-            "maxiter": MAX_ITERATIONS,
-            "maxfev": 4 * MAX_ITERATIONS,
-        },
-    )
+    result = minimize(objective, seed, [bounds[name] for name in active])
     point = dict(pinned)
     point.update({name: float(v) for name, v in zip(active, result.x)})
     best = Optimum(point=point, value=-float(result.fun), iterations=int(result.nit))
     if not result.success:
         raise NoConvergence(f"simplex search stopped after {result.nit} iterations without converging", best)
     return best
+
+
+class _OutOfEvaluations(Exception):
+    """The evaluation cap of :func:`minimize` is reached."""
+
+
+def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> OptimizeResult:
+    """Minimize ``f`` over the box ``bounds`` from ``x0`` with scipy's bounded Nelder-Mead, on Python floats.
+
+    The same search as ``scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+    bounds=bounds)`` with xatol = fatol = SIMPLEX_TOL, maxiter = MAX_ITERATIONS
+    and maxfev = 4 MAX_ITERATIONS, step for step: scipy's coefficients and
+    initial simplex, reflected into the box at the upper bound and clipped;
+    every trial point clipped as ``np.clip`` clips; the same stops, an
+    exhausted evaluation budget also in the middle of an iteration.  The
+    vertices are lists of floats, and ``f`` takes one such list.  Returns
+    scipy's ``OptimizeResult`` with ``x``, ``fun``, ``nit``, ``nfev`` and
+    ``success``.
+    """
+    maxiter, maxfev = MAX_ITERATIONS, 4 * MAX_ITERATIONS
+    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+    n = len(bounds)
+    nfev = 0
+
+    def clip(x: list[float]) -> list[float]:
+        # np.clip's rule: max(x, lo) then min(., hi), each keeping the bound at a tie
+        out = []
+        for v, (lo, hi) in zip(x, bounds):
+            v = lo if v <= lo else v
+            out.append(hi if v >= hi else v)
+        return out
+
+    def evaluate(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return float(f(x))
+
+    start = clip([float(v) for v in x0])
+    sim = [start]
+    for k in range(n):
+        vertex = list(start)
+        vertex[k] = (1 + NONZERO_STEP) * vertex[k] if vertex[k] != 0 else ZERO_STEP
+        sim.append(vertex)
+    # a step past the upper bound is reflected back into the box
+    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(vertex, bounds)]) for vertex in sim]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _OutOfEvaluations:
+        pass
+    # scipy sorts twice before its first iteration; an unstable argsort may move tied vertices again
+    sim, fsim = _ascending(*_ascending(sim, fsim))
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            best = sim[0]
+            if all(abs(v - b) <= SIMPLEX_TOL for vertex in sim[1:] for v, b in zip(vertex, best)) and all(
+                abs(fsim[0] - value) <= SIMPLEX_TOL for value in fsim[1:]
+            ):
+                break
+            total = sim[0]
+            for vertex in sim[1:-1]:
+                total = [t + v for t, v in zip(total, vertex)]
+            centroid = [t / n for t in total]
+            worst = sim[-1]
+
+            def toward(t: float) -> list[float]:
+                # the point (1 + t) centroid - t worst, in scipy's arithmetic
+                return clip([(1 + t) * c - t * w for c, w in zip(centroid, worst)])
+
+            reflected = toward(REFLECT)
+            f_reflected = evaluate(reflected)
+            shrink = False
+            if f_reflected < fsim[0]:
+                expanded = toward(REFLECT * EXPAND)
+                f_expanded = evaluate(expanded)
+                if f_expanded < f_reflected:
+                    sim[-1], fsim[-1] = expanded, f_expanded
+                else:
+                    sim[-1], fsim[-1] = reflected, f_reflected
+            elif f_reflected < fsim[-2]:
+                sim[-1], fsim[-1] = reflected, f_reflected
+            elif f_reflected < fsim[-1]:
+                contracted = toward(CONTRACT * REFLECT)
+                f_contracted = evaluate(contracted)
+                if f_contracted <= f_reflected:
+                    sim[-1], fsim[-1] = contracted, f_contracted
+                else:
+                    shrink = True
+            else:
+                contracted = toward(-CONTRACT)
+                f_contracted = evaluate(contracted)
+                if f_contracted < fsim[-1]:
+                    sim[-1], fsim[-1] = contracted, f_contracted
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = clip([b + SHRINK * (v - b) for b, v in zip(best, sim[j])])
+                    fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = _ascending(sim, fsim)
+
+    success = nfev < maxfev and iterations < maxiter
+    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nit=iterations, nfev=nfev, success=success)
+
+
+def _ascending(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
+    """The vertices and their values in ascending value, ties in ``np.argsort``'s order.
+
+    ``np.argsort`` is not stable on every CPU, so where two values tie (an
+    unphysical plateau) or one is NaN, it orders them itself.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def figure_preset(figure_id: str) -> SweepSpec:

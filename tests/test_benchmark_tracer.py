@@ -1,7 +1,9 @@
 """The benchmark's traced mode, run against the package as it stands.
 
 ``perfbench/tracer.py`` patches and reads names of the package from outside:
-the module-level ``sweep.minimize``, the public functions of each module
+the module-level ``sweep.minimize`` (the package's own Nelder-Mead, which
+returns scipy's ``OptimizeResult`` with the ``nfev`` and ``nit`` that the
+tracer counts), the public functions of each module
 (``cli.main``, ``build_config``, ``format_csv``, ...),
 ``DensityMatrix.__post_init__`` and the fields of ``LambdaParams``; its
 import report needs ``scipy.optimize`` among the imports of

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from lambda_capacity import lambda_system
 from lambda_capacity.channel import maximally_mixed, qubit_matrices, qubit_state, validate_channel
 from lambda_capacity.lambda_system import (
     CLOSED_FORM_MIN,
@@ -279,6 +280,30 @@ def test_evaluator_matches_purification_and_closed_form_routes():
         ic_drive = coherent_information_at(drive, rho)
         assert abs(ic_drive - coherent_information(closed, rho)) < 1e-12
         assert abs(ic_drive - coherent_information(channel_map(drive), rho)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "fields, state",
+    [
+        ({"gamma_t": 0.0}, (0.3, 0.2, -0.1)),
+        ({"gamma_t": math.inf}, (0.3, 0.2, -0.1)),
+        ({"theta": 0.0}, (0.3, 0.2, -0.1)),
+        ({"theta": 2.0 * math.pi}, (0.3, 0.2, -0.1)),
+        ({"gamma13": 0.0}, (0.3, 0.2, -0.1)),  # alpha1 = 0
+        ({"gamma23": 0.0}, (0.3, 0.2, -0.1)),  # alpha1 = 1
+        ({}, (1.0, 0.0, 0.0)),  # a pure input
+    ],
+)
+def test_one_point_route_matches_purification_at_edges(monkeypatch, fields, state):
+    params = LambdaParams(**{"gamma13": 0.6, "theta": 1.9, "chi": 0.4, "phi": 0.7, "gamma_t": 1.3, **fields})
+    rho = qubit_state(*state)
+
+    def batched(*args):
+        raise AssertionError("a one-point call took the batched spectra")
+
+    monkeypatch.setattr(lambda_system, "_eigvalsh3", batched)
+    ic = coherent_information_at(params, rho)
+    assert abs(ic - coherent_information(channel_map(params), rho)) <= 1e-12
 
 
 def test_evaluator_matches_independent_reference_for_general_pulses():

@@ -66,7 +66,10 @@ def test_evaluator_matches_purification_route_and_bounds(point):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(points(), min_size=1, max_size=25))
 def test_batched_call_equals_one_point_calls(batch):
-    single = [coherent_information_at(params, rho) for params, rho in batch]
+    # one point of Python floats and one 2x2 state: the spectra's one-point path
+    arguments = [((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1), rho.matrix) for p, rho in batch]
+    assert all(type(x) is float for floats, _ in arguments for x in floats)
+    single = [coherent_information_batch(*floats, rho) for floats, rho in arguments]
     # as drawn, a batch is smaller than CLOSED_FORM_MIN and takes LAPACK; repeated
     # to CLOSED_FORM_MIN points or more, it takes the closed-form spectra
     for copies in (1, -(-CLOSED_FORM_MIN // len(batch))):

@@ -1,8 +1,12 @@
 import math
+import sys
+import types
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from lambda_capacity import sweep
 from lambda_capacity.channel import NotDensityMatrix, _density_checks, density_mask, qubit_matrices
@@ -22,7 +26,9 @@ from lambda_capacity.sweep import (
     figure_preset,
     grid_sweep,
     maximize_ic,
+    minimize,
 )
+from oracle import load_benchmark_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,6 +331,115 @@ def test_maximize_rejects_unphysical_state_interior():
     )
     assert abs(best.point["re_rho12"]) <= 0.3 + 1e-6
     assert math.isfinite(best.value)
+
+
+# ------------------------------------------------ simplex against scipy's
+
+
+def _scipy_minimize(f, x0, bounds):
+    """The oracle: scipy's bounded Nelder-Mead with the options that ``sweep.minimize`` documents."""
+    options = {
+        "xatol": sweep.SIMPLEX_TOL,
+        "fatol": sweep.SIMPLEX_TOL,
+        "maxiter": sweep.MAX_ITERATIONS,
+        "maxfev": 4 * sweep.MAX_ITERATIONS,
+    }
+    # scipy subtracts inf from inf on a simplex whose every vertex is unphysical
+    with np.errstate(invalid="ignore"):
+        return scipy.optimize.minimize(f, np.array(x0, dtype=float), method="Nelder-Mead", bounds=bounds,
+                                       options=options)
+
+
+def _same_search(minimize, f, x0, bounds):
+    """``minimize``'s result, after checking it is scipy's to the last bit."""
+    ours, theirs = minimize(f, x0, bounds), _scipy_minimize(f, x0, bounds)
+    assert np.array_equal(ours.x, theirs.x)
+    assert (ours.fun, ours.nit, ours.nfev, ours.success) == (theirs.fun, theirs.nit, theirs.nfev, theirs.success)
+    return ours
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Route every ``sweep.minimize`` call through the scipy comparison; collects (x0, bounds, result)."""
+    searches = []
+
+    def checked(f, x0, bounds):
+        result = _same_search(minimize, f, x0, bounds)
+        searches.append((list(x0), list(bounds), result))
+        return result
+
+    monkeypatch.setattr(sweep, "minimize", checked)
+    return searches
+
+
+@pytest.fixture
+def benchmark_problems(monkeypatch):
+    """The benchmark's 40 optimize problems (seeds 501-510), drawn by its own source file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("benchmark_workloads")
+    monkeypatch.setitem(sys.modules, "reference", load_benchmark_reference())
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return [p for seed in range(501, 511) for p in module.optimize_problems(np.random.default_rng(seed))]
+
+
+def test_simplex_is_scipys_on_benchmark_problems(checked_searches, benchmark_problems):
+    for problem in benchmark_problems:
+        maximize_ic(list(problem.free), problem.free, {**problem.fixed, **(problem.state or {})})
+    assert len(checked_searches) == len(benchmark_problems) == 40
+
+
+def test_simplex_is_scipys_when_seeded_on_a_bound(checked_searches):
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        rho11 = rng.uniform(0.1, 0.9)
+        radius = rng.uniform(0.0, 1.0) * math.sqrt(rho11 * (1.0 - rho11))
+        fixed = {
+            "phi": rng.uniform(-math.pi, math.pi), "asym": rng.uniform(0.1, 2.0),
+            "gamma_t": math.inf if rng.random() < 0.5 else rng.uniform(0.0, 8.0),
+            "rho11": rho11, "re_rho12": radius, "im_rho12": 0.0,
+        }
+        maximize_ic(["theta", "chi"], {"theta": (0.0, TWO_PI), "chi": (0.0, math.pi / 2)}, fixed)
+    on_bound = [x0 for x0, bounds, _ in checked_searches if any(v in b for v, b in zip(x0, bounds))]
+    assert len(on_bound) >= 10
+
+
+def test_simplex_is_scipys_on_unphysical_plateaus(checked_searches):
+    # the box holds coherences outside the disc |rho12|^2 <= rho11 (1 - rho11): there
+    # the objective is +inf, and vertices tie
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        fixed = {"theta": rng.uniform(0.5, TWO_PI), "chi": rng.uniform(0.0, math.pi / 2), "gamma_t": 2.0}
+        maximize_ic(["rho11", "re_rho12"], {"rho11": (0.0, 1.0), "re_rho12": (-0.6, 0.6)}, fixed)
+    assert len(checked_searches) == 20
+    # a plateau everywhere but near the seed: every step ties, and shrinks
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4) * 3:
+        low = rng.uniform(-1.0, 0.0, n)
+        bounds = list(zip(low.tolist(), (low + rng.uniform(0.5, 2.0, n)).tolist()))
+        x0 = rng.uniform(low, low + 0.5).tolist()
+
+        def well(x, x0=x0):
+            return 0.0 if max(abs(a - b) for a, b in zip(x, x0)) < 1e-3 else math.inf
+
+        _same_search(minimize, well, x0, bounds)
+
+
+def test_simplex_stops_as_scipys_at_the_caps(monkeypatch):
+    monkeypatch.setattr(sweep, "MAX_ITERATIONS", 3)
+    request = (["theta", "chi"], {"theta": (0.0, TWO_PI), "chi": (0.0, math.pi / 2)}, {"asym": 0.4, "phi": 0.3})
+    with pytest.raises(sweep.NoConvergence) as ours:
+        maximize_ic(*request)
+    monkeypatch.setattr(sweep, "minimize", _scipy_minimize)
+    with pytest.raises(sweep.NoConvergence) as theirs:
+        maximize_ic(*request)
+    assert ours.value.best == theirs.value.best
+    assert ours.value.best.iterations == 3
+    # every step of a 4-D plateau shrinks, at 6 evaluations: the 12-evaluation cap
+    # stops the second iteration in its middle
+    x0 = [0.1, 0.2, 0.3, 0.4]
+    result = _same_search(minimize, lambda x: 0.0 if list(x) == x0 else math.inf, x0, [(0.0, 1.0)] * 4)
+    assert (result.nfev, result.nit, result.success) == (12, 2, False)
 
 
 # ------------------------------------------------------------------ presets
