@@ -41,7 +41,6 @@ and sends both states to one LAPACK call.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -254,9 +253,11 @@ def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
     return matrix
 
 
-# the functions of _spectra's arithmetic: on Python floats for one point, on arrays otherwise
-_POINT_OPS = (cmath.exp, math.sin, math.cos, math.exp, math.expm1, math.sqrt, abs)
-_ARRAY_OPS = (np.exp, np.sin, np.cos, np.exp, np.expm1, np.sqrt, np.abs)
+# the functions of _spectra's arithmetic, cis(x) = e^{ix} first: on Python floats for
+# one point (math only: cmath is an extension module, which adds to every process's
+# resident memory), on arrays otherwise
+_POINT_OPS = (lambda x: complex(math.cos(x), math.sin(x)), math.sin, math.cos, math.exp, math.expm1, math.sqrt, abs)
+_ARRAY_OPS = (lambda x: np.exp(1j * x), np.sin, np.cos, np.exp, np.expm1, np.sqrt, np.abs)
 
 
 def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
@@ -278,9 +279,9 @@ def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
         r11, r22 = r11.real, r22.real
     else:
         r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
-    cexp, sin, cos, exp, expm1, sqrt, magnitude_of = _POINT_OPS if point else _ARRAY_OPS
+    cis, sin, cos, exp, expm1, sqrt, magnitude_of = _POINT_OPS if point else _ARRAY_OPS
     # bright state b = (b1, b2); b2 is real
-    b1 = cexp(-1j * phi) * sin(chi)
+    b1 = cis(-phi) * sin(chi)
     b2 = cos(chi)
     half = 0.5 * theta
     k = cos(half) - 1.0
