@@ -2,15 +2,22 @@
 
 The evaluator's two 3x3 spectra and the classical baseline's distributions
 both go through :func:`entropy_bits`, which refuses a vector that is not a
-probability distribution up to roundoff.
+probability distribution up to roundoff.  Small stacks, such as one point's
+two spectra, are summed in Python floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 PROBABILITY_CLAMP = 1e-10
 NORMALIZATION_TOL = 1e-8
+# stacks of at most this many entries, such as the two spectra (6 entries) of a
+# one-point call, are summed in Python floats: up to about 25 entries that is
+# cheaper than numpy's fixed cost per call
+FLOAT_ENTRIES = 16
 
 
 class NegativeProbability(ValueError):
@@ -33,6 +40,12 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
     """
     p = np.asarray(probabilities, dtype=float)
     rows = np.atleast_2d(p) if p.ndim <= 2 else p.reshape(-1, p.shape[-1])
+    if rows.size <= FLOAT_ENTRIES:
+        # a stack that fails a check goes on to the checks below, which word the error
+        floats = [_float_entropy(row) for row in rows.tolist()]
+        if None not in floats:
+            entropy = np.array(floats, dtype=float)
+            return float(entropy[0]) if p.ndim <= 1 else entropy.reshape(p.shape[:-1])
     # one min and one max over the whole stack find NaN, Inf and negative
     # entries; only a failed check looks for the first bad vector
     lowest, highest = rows.min(initial=0.0), rows.max(initial=0.0)
@@ -54,3 +67,14 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
     entropy = -(rows * logs).sum(axis=1)
     entropy = np.where(entropy > 0.0, entropy, 0.0)
     return float(entropy[0]) if p.ndim <= 1 else entropy.reshape(p.shape[:-1])
+
+
+def _float_entropy(row: list[float]) -> float | None:
+    """The entropy of one vector in Python floats, or None if it fails a check of :func:`entropy_bits`."""
+    if not all(-PROBABILITY_CLAMP <= x < math.inf for x in row):
+        return None
+    positive = [x for x in row if x > 0.0]  # entries in [-1e-10, 0] count as 0
+    if not abs(sum(positive) - 1.0) <= NORMALIZATION_TOL:
+        return None
+    entropy = -sum(x * math.log2(x) for x in positive)
+    return entropy if entropy > 0.0 else 0.0

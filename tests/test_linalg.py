@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lambda_capacity import linalg
 from lambda_capacity.linalg import NegativeProbability, NotNormalized, entropy_bits
 from oracle import NotHermitian, NotSquare, hermitian_eigensystem
 
@@ -77,3 +78,42 @@ def test_entropy_rejects_bad_input():
         entropy_bits(np.array([0.5, 0.4]))
     with pytest.raises(NotNormalized):
         entropy_bits(np.array([np.nan, 1.0]))
+
+
+def _numpy_route(monkeypatch, p):
+    """entropy_bits(p) with every stack through the numpy route; returns the value or the raised (type, message)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "FLOAT_ENTRIES", 0)
+        try:
+            return entropy_bits(p)
+        except ValueError as err:
+            return type(err), str(err)
+
+
+def test_small_stacks_in_floats_match_the_numpy_route(monkeypatch):
+    rng = np.random.default_rng(17)
+    stacks = []
+    for shape in [(3,), (2, 3), (4, 4), (2, 2, 3), (1, 16), (0, 3)]:
+        p = rng.random(shape)
+        p /= p.sum(axis=-1, keepdims=True)
+        stacks.append(p)
+    # roundoff negatives, zeros and a point mass take the float route too
+    stacks.append(np.array([[1.0 + 5e-11, -5e-11, 0.0], [0.0, 1.0, 0.0]]))
+    for p in stacks:
+        assert p.size <= linalg.FLOAT_ENTRIES
+        ours, theirs = entropy_bits(p), _numpy_route(monkeypatch, p)
+        assert np.shape(ours) == np.shape(theirs)
+        assert np.abs(np.asarray(ours) - theirs).max(initial=0.0) <= 1e-15
+    # a failing stack raises the numpy route's error, first check first
+    bad = [
+        np.array([0.5, 0.4]),
+        np.array([[1.1, -0.1, 0.0], [np.nan, 1.0, 0.0]]),  # NaN in a later row still raises first
+        np.array([[0.5, 0.5, 0.0], [1.1, -0.1, 0.0]]),
+        np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 1e-7]]),
+        np.array([np.inf, 1.0]),
+        np.zeros(0),
+    ]
+    for p in bad:
+        with pytest.raises(ValueError) as err:
+            entropy_bits(p)
+        assert (type(err.value), str(err.value)) == _numpy_route(monkeypatch, p)

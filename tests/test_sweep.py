@@ -350,9 +350,9 @@ def _scipy_minimize(f, x0, bounds):
                                        options=options)
 
 
-def _same_search(minimize, f, x0, bounds):
-    """``minimize``'s result, after checking it is scipy's to the last bit."""
-    ours, theirs = minimize(f, x0, bounds), _scipy_minimize(f, x0, bounds)
+def _same_search(search, f, x0, bounds):
+    """``search``'s result, after checking it is scipy's to the last bit."""
+    ours, theirs = search(f, x0, bounds), _scipy_minimize(f, x0, bounds)
     assert np.array_equal(ours.x, theirs.x)
     assert (ours.fun, ours.nit, ours.nfev, ours.success) == (theirs.fun, theirs.nit, theirs.nfev, theirs.success)
     return ours
