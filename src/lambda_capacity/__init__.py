@@ -11,11 +11,8 @@ from .channel import (
     ChannelMap,
     ChannelReport,
     DensityMatrix,
-    JointProbabilityTable,
     choi_matrix,
-    maximally_mixed,
     qubit_state,
-    shannon_mutual_information,
     validate_channel,
 )
 from .lambda_system import (
@@ -41,7 +38,6 @@ __all__ = [
     "ChannelMap",
     "ChannelReport",
     "DensityMatrix",
-    "JointProbabilityTable",
     "LambdaParams",
     "Optimum",
     "SweepResult",
@@ -52,9 +48,7 @@ __all__ = [
     "entropy_bits",
     "figure_preset",
     "grid_sweep",
-    "maximally_mixed",
     "maximize_ic",
     "qubit_state",
-    "shannon_mutual_information",
     "validate_channel",
 ]

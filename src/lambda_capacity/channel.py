@@ -1,22 +1,22 @@
-"""States, channel diagnostics and the classical baseline.
+"""Qubit input states and channel diagnostics.
 
-``DensityMatrix`` validates one input state, and ``density_mask`` applies
-the same checks to a stack of them.  A channel from a ``dim_in``-level
-system to a ``dim_out``-level one is held in transfer-operator form: a
-family of output-space matrices ``s[m, n]`` such that
-``rho_out = sum_mn rho[m, n] * s[m, n]``; ``validate_channel`` checks its
-physicality through the Choi matrix.  ``shannon_mutual_information`` is the
-classical baseline.  Information quantities of the Lambda channel come from
-``lambda_system``'s evaluator, not from this module.
+``DensityMatrix`` validates one input state, the qubit in the emitter's two
+ground levels, and ``density_mask`` applies the same checks to a stack of
+them.  A channel from a ``dim_in``-level system to a ``dim_out``-level one
+is held in transfer-operator form: a family of output-space matrices
+``s[m, n]`` such that ``rho_out = sum_mn rho[m, n] * s[m, n]``;
+``validate_channel`` checks its physicality through the Choi matrix.
+Information quantities of the Lambda channel come from ``lambda_system``'s
+evaluator, not from this module.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import NotNormalized, entropy_bits
 
 DENSITY_TOL = 1e-10
 CHOI_TOL = 1e-8
@@ -32,7 +32,7 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite.
+    """Validated qubit state: a 2x2 matrix, Hermitian, unit trace, positive semidefinite.
 
     Construction raises :class:`NotDensityMatrix` if any invariant is broken
     beyond a 1e-10 tolerance, so downstream code never needs to re-check.
@@ -42,43 +42,52 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotDensityMatrix(f"expected a square matrix, got shape {m.shape}")
-        for passes, message in _density_checks(m[None]):
-            if not passes[0]:
-                raise NotDensityMatrix(message(0))
+        if m.shape != (2, 2):
+            raise NotDensityMatrix(f"expected a 2x2 matrix, got shape {m.shape}")
+        for passes, value, message in _density_checks(m.tolist()):
+            if not passes:
+                raise NotDensityMatrix(message(value))
         object.__setattr__(self, "matrix", m)
 
 
-def _density_checks(m: np.ndarray):
-    """The checks of :class:`DensityMatrix` over a complex stack (..., d, d), in its order.
+# the functions of _density_checks' arithmetic: on Python numbers for one matrix, and on
+# arrays for a stack, where neither an overflow to inf nor a rejected NaN entry may warn
+_POINT_OPS = (math.hypot, max, contextlib.nullcontext)
+_ARRAY_OPS = (np.hypot, np.maximum, lambda: np.errstate(over="ignore", invalid="ignore"))
 
-    One (passes, message) pair per check: finite entries, then Hermiticity deviation, trace and
-    lowest eigenvalue within DENSITY_TOL.  ``passes`` is a boolean array (...); ``message(i)``
-    describes the failure of matrix i of the flattened stack.
+
+def _density_checks(m):
+    """The checks of :class:`DensityMatrix` on one matrix or a stack, in its order.
+
+    ``m`` is one matrix as nested lists [[a, b], [c, d]] of Python numbers,
+    or a stack (..., 2, 2) of them.  One (passes, value, message) triple per
+    check: finite entries, then Hermiticity deviation, trace and lowest
+    eigenvalue within DENSITY_TOL.  ``passes`` and ``value``, the quantity
+    checked, are Python numbers for one matrix and arrays (...) for a stack;
+    ``message(v)`` describes a failure with that value.  The lowest
+    eigenvalue of the Hermitian part [[p, h], [h*, q]] is
+    (p + q)/2 - hypot((p - q)/2, |h|), each part halved before it is summed,
+    so that entries near the float limit give -inf rather than NaN.
     """
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        # zero the rejected non-finite matrices so that the eigensolver never sees them
-        m = np.where(finite[..., None, None], m, 0.0)
-    adjoint = m.conj().swapaxes(-2, -1)
-    with np.errstate(over="ignore"):
-        deviation = np.abs(m - adjoint).max(axis=(-2, -1))
-        trace = np.trace(m, axis1=-2, axis2=-1)
-    # halve before adding: (m + m^H) / 2 overflows for entries near the
-    # float limit, and NaN eigenvalues would then pass the check
-    lowest = np.linalg.eigvalsh(m / 2.0 + adjoint / 2.0)[..., 0]  # ascending
+    hypot, larger, quiet = _POINT_OPS if isinstance(m, list) else _ARRAY_OPS
+    # a stack's entries as arrays (...): its matrix axes moved to the front
+    (a, b), (c, d) = m if isinstance(m, list) else np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
+    finite = True
+    for x in (a, b, c, d):
+        finite = finite & (abs(x.real) < math.inf) & (abs(x.imag) < math.inf)
+    with quiet():
+        # the entries of m - m^H are 2i Im a and 2i Im d on the diagonal, b - c* and its conjugate off it
+        deviation = larger(larger(2.0 * abs(a.imag), 2.0 * abs(d.imag)), hypot(b.real - c.real, b.imag + c.imag))
+        trace = a + d
+        unit_trace = hypot(trace.real - 1.0, trace.imag) <= DENSITY_TOL
+        coherence = hypot(0.5 * b.real + 0.5 * c.real, 0.5 * b.imag - 0.5 * c.imag)
+        lowest = (0.5 * a.real + 0.5 * d.real) - hypot(0.5 * a.real - 0.5 * d.real, coherence)
     return (
-        (finite, lambda i: "matrix contains NaN or Inf entries"),
-        (deviation <= DENSITY_TOL, lambda i: f"Hermiticity deviation {deviation.flat[i]:.3e}"),
-        (np.abs(trace - 1.0) <= DENSITY_TOL, lambda i: f"trace {complex(trace.flat[i])} is not 1"),
-        (lowest >= -DENSITY_TOL, lambda i: f"negative eigenvalue {lowest.flat[i]:.3e}"),
+        (finite, finite, lambda v: "matrix contains NaN or Inf entries"),
+        (deviation <= DENSITY_TOL, deviation, lambda v: f"Hermiticity deviation {v:.3e}"),
+        (unit_trace, trace, lambda v: f"trace {complex(v)} is not 1"),
+        (lowest >= -DENSITY_TOL, lowest, lambda v: f"negative eigenvalue {v:.3e}"),
     )
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    """The state I/dim."""
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 def qubit_state(rho11: float, re_rho12: float = 0.0, im_rho12: float = 0.0) -> DensityMatrix:
@@ -91,8 +100,15 @@ def qubit_state(rho11: float, re_rho12: float = 0.0, im_rho12: float = 0.0) -> D
     return DensityMatrix(qubit_matrices(rho11, re_rho12, im_rho12))
 
 
-def qubit_matrices(rho11, re_rho12, im_rho12) -> np.ndarray:
-    """The matrices of :func:`qubit_state` for arrays of shape (...), unvalidated: (..., 2, 2)."""
+def qubit_matrices(rho11, re_rho12, im_rho12):
+    """The matrices of :func:`qubit_state`, unvalidated.
+
+    Three Python numbers give one matrix as nested lists of Python complex
+    numbers; arrays of shape (...) give an array (..., 2, 2).
+    """
+    if not any(isinstance(x, np.ndarray) for x in (rho11, re_rho12, im_rho12)):
+        coherence = complex(re_rho12, im_rho12)
+        return [[complex(rho11), coherence], [coherence.conjugate(), complex(1.0 - rho11)]]
     rho11, re_rho12, im_rho12 = np.broadcast_arrays(rho11, re_rho12, im_rho12)
     m = np.empty(rho11.shape + (2, 2), dtype=complex)
     m[..., 0, 0] = rho11
@@ -103,15 +119,16 @@ def qubit_matrices(rho11, re_rho12, im_rho12) -> np.ndarray:
     return m
 
 
-def density_mask(matrices: np.ndarray) -> np.ndarray:
-    """Elementwise over a stack (..., d, d): True where ``DensityMatrix`` accepts the matrix.
+def density_mask(matrices):
+    """True where ``DensityMatrix`` accepts the matrix: elementwise over a stack (..., 2, 2).
 
-    The AND of the checks of :class:`DensityMatrix`, with the lowest
-    eigenvalues from one batched ``eigvalsh`` over the stack.
+    One matrix as nested lists, as :func:`qubit_matrices` builds it, gives
+    one bool.  The AND of the checks of :class:`DensityMatrix`.
     """
-    checks = _density_checks(np.asarray(matrices, dtype=complex))
-    (finite, _), (hermitian, _), (unit_trace, _), (positive, _) = checks
-    return finite & hermitian & unit_trace & positive
+    valid = True
+    for passes, _, _ in _density_checks(matrices):
+        valid = valid & passes
+    return valid
 
 
 @dataclass(frozen=True)
@@ -144,23 +161,6 @@ class ChannelMap:
 
 
 @dataclass(frozen=True)
-class JointProbabilityTable:
-    """Joint distribution p(x, y) over input rows and output columns."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.p, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D table, got shape {arr.shape}")
-        if arr.size == 0 or arr.min() < 0.0 or not np.all(np.isfinite(arr)):
-            raise ValueError("table entries must be finite and non-negative")
-        if abs(arr.sum() - 1.0) > DENSITY_TOL:
-            raise NotNormalized(f"table sums to {float(arr.sum())}, expected 1")
-        object.__setattr__(self, "p", arr)
-
-
-@dataclass(frozen=True)
 class ChannelReport:
     """Physicality diagnostics for a ChannelMap."""
 
@@ -168,16 +168,6 @@ class ChannelReport:
     hermiticity_deviation: float
     min_choi_eigenvalue: float
     passes: bool
-
-
-def shannon_mutual_information(table: JointProbabilityTable) -> float:
-    """Mutual information of a joint distribution: H(X) + H(Y) - H(X,Y)."""
-    p = table.p
-    return (
-        entropy_bits(p.sum(axis=1))
-        + entropy_bits(p.sum(axis=0))
-        - entropy_bits(p.reshape(-1))
-    )
 
 
 def choi_matrix(channel: ChannelMap) -> np.ndarray:

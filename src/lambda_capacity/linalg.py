@@ -1,9 +1,8 @@
 """Entropy of a probability spectrum in bits.
 
-The evaluator's two 3x3 spectra and the classical baseline's distributions
-both go through :func:`entropy_bits`, which refuses a vector that is not a
-probability distribution up to roundoff.  Small stacks, such as one point's
-two spectra, are summed in Python floats.
+The evaluator's two 3x3 spectra go through :func:`entropy_bits`, which
+refuses a vector that is not a probability distribution up to roundoff.
+Small stacks, such as one point's two spectra, are summed in Python floats.
 """
 
 from __future__ import annotations

@@ -158,16 +158,6 @@ def _point_objects(point: Mapping[str, float]) -> tuple[LambdaParams, DensityMat
     return params, qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
 
 
-def _states(columns: Mapping[str, np.ndarray | float]) -> tuple[np.ndarray, np.ndarray]:
-    """Input states (..., 2, 2) of state columns of one common shape, and the mask of the physical ones.
-
-    The mask holds the conditions of ``qubit_state`` / ``DensityMatrix``
-    with their tolerances, state by state.
-    """
-    rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
-    return rho, density_mask(rho)
-
-
 def _params_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray:
     """The conditions of ``LambdaParams``, point by point."""
     return params_mask(
@@ -191,9 +181,9 @@ def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: S
         name: values.reshape([-1 if j == k else 1 for j in range(len(shape))])
         for k, (name, values) in enumerate(zip(names, axis_values))
     }
-    rho, state_valid = _states({name: along.get(name, base[name]) for name in STATE_NAMES})
+    rho = qubit_matrices(*(along.get(name, base[name]) for name in STATE_NAMES))
+    state_valid = np.broadcast_to(density_mask(rho), shape)
     rho = np.broadcast_to(rho, shape + (2, 2))
-    state_valid = np.broadcast_to(state_valid, shape)
     size = math.prod(shape)
     for start in range(0, size, BLOCK):
         index = np.unravel_index(np.arange(start, min(start + BLOCK, size)), shape)
@@ -298,13 +288,10 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
-    # with no active state parameter every point shares one input state: build and check it once
-    shared = None if set(active) & set(STATE_NAMES) else _states(base)
-
     def score(assignment: Mapping[str, float]) -> float:
         here = {**base, **assignment}
-        rho, state_valid = _states(here) if shared is None else shared
-        if not (state_valid and _params_valid(here)):
+        rho = qubit_matrices(*(here[name] for name in STATE_NAMES))
+        if not (density_mask(rho) and _params_valid(here)):
             return -math.inf
         return float(_block_ic(here, rho))
 
@@ -348,7 +335,8 @@ def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> O
     and maxfev = 4 MAX_ITERATIONS, step for step: scipy's coefficients and
     initial simplex, reflected into the box at the upper bound and clipped;
     every trial point clipped as ``np.clip`` clips; the same stops, an
-    exhausted evaluation budget also in the middle of an iteration.  The
+    exhausted evaluation budget also in the middle of an iteration; tied
+    vertices keep their order, as under a stable ``np.argsort``.  The
     vertices are lists of floats, and ``f`` takes one such list.  Returns
     scipy's ``OptimizeResult`` with ``x``, ``fun``, ``nit``, ``nfev`` and
     ``success``.
@@ -387,8 +375,7 @@ def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> O
             fsim[k] = evaluate(sim[k])
     except _OutOfEvaluations:
         pass
-    # scipy sorts twice before its first iteration; an unstable argsort may move tied vertices again
-    sim, fsim = _ascending(*_ascending(sim, fsim))
+    sim, fsim = _ascending(sim, fsim)
 
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
@@ -448,14 +435,8 @@ def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> O
 
 
 def _ascending(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
-    """The vertices and their values in ascending value, ties in ``np.argsort``'s order.
-
-    ``np.argsort`` is not stable on every CPU, so where two values tie (an
-    unphysical plateau) or one is NaN, it orders them itself.
-    """
+    """The vertices and their values in ascending value; tied vertices keep their order."""
     order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-        order = np.argsort(fsim).tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 

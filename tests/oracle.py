@@ -7,7 +7,9 @@ other routes, which no package code calls:
 * a generic channel engine in transfer-operator form: purification, the
   output state, the (dim_out*dim_in)-dimensional output-mirror state, the
   entropy exchange and the coherent information, on a validated
-  eigensystem with descending eigenvalues;
+  eigensystem with descending eigenvalues.  Its states of any dimension
+  are :class:`State`, checked by that eigensystem; the package's
+  ``DensityMatrix`` is a qubit state, and serves as an input;
 * ``closed_form_channel``, the Lambda channel's transfer operators written
   out by hand for the chi = pi/2 drive;
 * ``load_benchmark_reference``, the benchmark's numpy-only evaluator for
@@ -26,10 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from lambda_capacity.channel import ChannelMap, DensityMatrix, DimensionMismatch, NotDensityMatrix
+from lambda_capacity.channel import ChannelMap, DimensionMismatch, NotDensityMatrix
 from lambda_capacity.linalg import entropy_bits
 
 HERMITICITY_TOL = 1e-10
+# the package's tolerance on the trace and the lowest eigenvalue of a state
+DENSITY_TOL = 1e-10
 
 
 class NotSquare(ValueError):
@@ -84,17 +88,42 @@ def hermitian_eigensystem(matrix: np.ndarray) -> Spectrum:
     return Spectrum(values[::-1].copy(), vectors[:, ::-1].copy())
 
 
-def dim(rho: DensityMatrix) -> int:
+@dataclass(frozen=True)
+class State:
+    """A density matrix of any dimension, checked with :func:`hermitian_eigensystem`.
+
+    Construction raises ``NotDensityMatrix`` unless the matrix is square,
+    finite and Hermitian, of unit trace and with no eigenvalue below
+    -DENSITY_TOL.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=complex)
+        try:
+            lowest = hermitian_eigensystem(m).eigenvalues[-1]
+        except (NotSquare, NotHermitian) as err:
+            raise NotDensityMatrix(str(err)) from err
+        trace = np.trace(m)
+        if abs(trace - 1.0) > DENSITY_TOL:
+            raise NotDensityMatrix(f"trace {complex(trace)} is not 1")
+        if lowest < -DENSITY_TOL:
+            raise NotDensityMatrix(f"negative eigenvalue {lowest:.3e}")
+        object.__setattr__(self, "matrix", m)
+
+
+def dim(rho: State) -> int:
     """Dimension of the state's space."""
     return rho.matrix.shape[0]
 
 
-def spectrum(rho: DensityMatrix) -> np.ndarray:
+def spectrum(rho: State) -> np.ndarray:
     """Eigenvalues of a state, descending."""
     return hermitian_eigensystem(rho.matrix).eigenvalues
 
 
-def entropy(rho: DensityMatrix) -> float:
+def entropy(rho: State) -> float:
     """Von Neumann entropy of a state in bits."""
     return entropy_bits(spectrum(rho))
 
@@ -111,7 +140,7 @@ def identity_channel(d: int) -> ChannelMap:
     return ChannelMap(s)
 
 
-def purify(rho: DensityMatrix) -> np.ndarray:
+def purify(rho: State) -> np.ndarray:
     """Purify ``rho`` as sum_i sqrt(p_i) |i> x |i*>.
 
     Returns the unit-norm amplitudes on system x mirror, length dim**2, with
@@ -132,7 +161,7 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     return amplitudes
 
 
-def apply_channel(channel: ChannelMap, rho: DensityMatrix) -> DensityMatrix:
+def apply_channel(channel: ChannelMap, rho: State) -> State:
     """Send ``rho`` through the channel: rho_out = sum_mn rho[m,n] s[m,n].
 
     Raises :class:`DimensionMismatch` if ``dim(rho) != channel.dim_in``, and
@@ -143,12 +172,12 @@ def apply_channel(channel: ChannelMap, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatch(f"state dim {dim(rho)} != channel input dim {channel.dim_in}")
     out = np.einsum("mn,mnab->ab", rho.matrix, channel.s)
     try:
-        return DensityMatrix(out)
+        return State(out)
     except NotDensityMatrix as err:
         raise OutputNotDensity(f"channel output invalid: {err}") from err
 
 
-def joint_output(channel: ChannelMap, rho: DensityMatrix) -> DensityMatrix:
+def joint_output(channel: ChannelMap, rho: State) -> State:
     """Channel acting on one half of the purification of ``rho``.
 
     Returns the (dim_out*dim_in)-dimensional state obtained by sending the
@@ -164,17 +193,17 @@ def joint_output(channel: ChannelMap, rho: DensityMatrix) -> DensityMatrix:
     joint = np.einsum("mp,nq,mnab->apbq", psi, psi.conj(), channel.s)
     side = channel.dim_out * d
     try:
-        return DensityMatrix(joint.reshape(side, side))
+        return State(joint.reshape(side, side))
     except NotDensityMatrix as err:
         raise OutputNotDensity(f"joint output invalid: {err}") from err
 
 
-def entropy_exchange(channel: ChannelMap, rho: DensityMatrix) -> float:
+def entropy_exchange(channel: ChannelMap, rho: State) -> float:
     """Entropy in bits of the joint output-mirror state."""
     return entropy(joint_output(channel, rho))
 
 
-def coherent_information(channel: ChannelMap, rho: DensityMatrix) -> float:
+def coherent_information(channel: ChannelMap, rho: State) -> float:
     """Output entropy minus entropy exchange, in bits, with no flooring at zero."""
     return entropy(apply_channel(channel, rho)) - entropy_exchange(channel, rho)
 

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from lambda_capacity.channel import (
-    DensityMatrix,
-    JointProbabilityTable,
-    maximally_mixed,
-    shannon_mutual_information,
-    validate_channel,
-)
+from lambda_capacity.channel import DensityMatrix, qubit_state, validate_channel
 from lambda_capacity.lambda_system import LambdaParams, channel_map, coherent_information_at
 from lambda_capacity.sweep import figure_preset, grid_sweep
 from oracle import (
@@ -49,9 +43,9 @@ def entropy_of(matrix):
 
 def test_optimum_capacity_of_symmetric_emitter():
     # library value, and the purification route
-    ic = coherent_information_at(LambdaParams(), maximally_mixed(2))
+    ic = coherent_information_at(LambdaParams(), qubit_state(0.5))
     assert ic == pytest.approx(CAPACITY_OPTIMUM, abs=5e-4)
-    assert coherent_information(channel_map(LambdaParams()), maximally_mixed(2)) == pytest.approx(ic, abs=1e-12)
+    assert coherent_information(channel_map(LambdaParams()), qubit_state(0.5)) == pytest.approx(ic, abs=1e-12)
 
     # brute-force oracle: assemble the joint output-mirror state directly
     # from the explicit operator table and eigendecompose the 6x6 by hand
@@ -73,9 +67,9 @@ def test_two_level_limit_transfers_one_qubit():
     # closing the 3->1 decay path at single-tone drive leaves a channel
     # that relays the qubit into the field intact
     params = LambdaParams(gamma13=0.0, gamma23=1.0, theta=math.pi, chi=math.pi / 2, gamma_t=math.inf)
-    ic = coherent_information_at(params, maximally_mixed(2))
+    ic = coherent_information_at(params, qubit_state(0.5))
     assert ic == pytest.approx(1.0, abs=1e-6)
-    assert coherent_information(channel_map(params), maximally_mixed(2)) == pytest.approx(1.0, abs=1e-6)
+    assert coherent_information(channel_map(params), qubit_state(0.5)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_no_pulse_gives_vacuum_and_minus_input_entropy():
@@ -90,7 +84,7 @@ def test_no_pulse_gives_vacuum_and_minus_input_entropy():
 
 
 def test_information_independent_of_pulse_split_and_phase():
-    rho = maximally_mixed(2)
+    rho = qubit_state(0.5)
     values = [
         coherent_information(channel_map(LambdaParams(chi=chi, phi=phi)), rho)
         for chi in np.linspace(0.0, math.pi / 2, 9)
@@ -100,7 +94,7 @@ def test_information_independent_of_pulse_split_and_phase():
 
 
 def test_constructive_and_closed_form_routes_agree():
-    inputs = [maximally_mixed(2), DensityMatrix(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]))]
+    inputs = [qubit_state(0.5), DensityMatrix(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]))]
     gts = [0.0, 0.4, 1.0, 2.0, 4.0, 8.0, math.inf]
     for theta in np.linspace(0.0, 2.0 * math.pi, 7):
         for gt in gts:
@@ -173,11 +167,3 @@ def test_figure_grids_reproduce_known_structure():
     assert elapsed_2b < 5.0
     assert elapsed_1b < 5.0
 
-
-def test_classical_binary_baseline():
-    crossover, keep = 0.11, 0.89
-    table = JointProbabilityTable(0.5 * np.array([[keep, crossover], [crossover, keep]]))
-    mi = shannon_mutual_information(table)
-    oracle = 1.0 + crossover * math.log2(crossover) + keep * math.log2(keep)
-    assert mi == pytest.approx(oracle, abs=1e-12)
-    assert mi == pytest.approx(0.5001, abs=1e-4)

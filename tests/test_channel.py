@@ -5,17 +5,14 @@ from lambda_capacity.channel import (
     ChannelMap,
     DensityMatrix,
     DimensionMismatch,
-    JointProbabilityTable,
     NotDensityMatrix,
     choi_matrix,
-    maximally_mixed,
     qubit_state,
-    shannon_mutual_information,
     validate_channel,
 )
-from lambda_capacity.linalg import NotNormalized
 from oracle import (
     OutputNotDensity,
+    State,
     apply_channel,
     coherent_information,
     entropy,
@@ -28,9 +25,10 @@ from oracle import (
 
 
 def random_density(dim, rng):
+    """A random state: the package's qubit state for dim 2, the oracle's state otherwise."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / rho.trace())
+    return (DensityMatrix if dim == 2 else State)(rho / rho.trace())
 
 
 def random_cptp(dim_in, dim_out, dim_env, rng):
@@ -51,6 +49,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(NotDensityMatrix):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(NotDensityMatrix):
+        DensityMatrix(np.eye(3) / 3.0)  # a state, but not a qubit's
 
 
 def test_qubit_state_boundary():
@@ -66,7 +66,7 @@ def test_qubit_state_boundary():
 
 
 def test_purify_maximally_mixed():
-    psi = purify(maximally_mixed(2))
+    psi = purify(qubit_state(0.5))
     assert np.allclose(psi, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
@@ -104,13 +104,13 @@ def test_identity_channel_fixes_states():
 
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        apply_channel(identity_channel(3), maximally_mixed(2))
+        apply_channel(identity_channel(3), qubit_state(0.5))
 
 
 def test_apply_channel_rejects_malformed_map():
     broken = ChannelMap(np.zeros((2, 2, 3, 3)))
     with pytest.raises(OutputNotDensity):
-        apply_channel(broken, maximally_mixed(2))
+        apply_channel(broken, qubit_state(0.5))
 
 
 def test_joint_output_identity_is_pure_projector():
@@ -209,32 +209,3 @@ def test_choi_matrix_of_identity_is_maximally_entangled():
     choi = choi_matrix(identity_channel(2))
     assert np.allclose(np.linalg.eigvalsh(choi), [0, 0, 0, 2])
 
-
-# ----------------------------------------------------------- classical side
-
-
-def test_mutual_information_perfect_and_independent():
-    assert shannon_mutual_information(JointProbabilityTable(np.diag([0.5, 0.5]))) == pytest.approx(1.0, abs=1e-12)
-    assert shannon_mutual_information(JointProbabilityTable(np.full((2, 2), 0.25))) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mutual_information_binary_symmetric_channel():
-    p, q = 0.11, 0.89
-    table = JointProbabilityTable(0.5 * np.array([[q, p], [p, q]]))
-    expected = 1.0 + p * np.log2(p) + q * np.log2(q)
-    assert shannon_mutual_information(table) == pytest.approx(expected, abs=1e-12)
-
-
-def test_mutual_information_never_negative():
-    rng = np.random.default_rng(43)
-    for _ in range(30):
-        t = rng.random((3, 4))
-        mi = shannon_mutual_information(JointProbabilityTable(t / t.sum()))
-        assert mi >= -1e-12
-
-
-def test_probability_table_validation():
-    with pytest.raises(ValueError):
-        JointProbabilityTable(np.array([[0.6, -0.1], [0.3, 0.2]]))
-    with pytest.raises(NotNormalized):
-        JointProbabilityTable(np.array([[0.25, 0.25], [0.25, 0.2]]))

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from lambda_capacity import lambda_system
-from lambda_capacity.channel import maximally_mixed, qubit_matrices, qubit_state, validate_channel
+from lambda_capacity.channel import qubit_matrices, qubit_state, validate_channel
 from lambda_capacity.lambda_system import (
     CLOSED_FORM_MIN,
     InvalidAlphas,
@@ -245,7 +245,7 @@ def test_single_decay_path_silences_second_photon_mode():
 
 
 def test_mixed_input_information_ignores_pulse_split_and_phase():
-    rho = maximally_mixed(2)
+    rho = qubit_state(0.5)
     reference = coherent_information(channel_map(LambdaParams()), rho)
     for chi in np.linspace(0.0, math.pi / 2, 4):
         for phi in (0.0, 1.3, 4.0):
@@ -254,7 +254,7 @@ def test_mixed_input_information_ignores_pulse_split_and_phase():
 
 
 def test_output_state_flagship_point():
-    out = apply_channel(channel_map(LambdaParams()), maximally_mixed(2))
+    out = apply_channel(channel_map(LambdaParams()), qubit_state(0.5))
     assert np.allclose(out.matrix, np.diag([0.5, 0.25, 0.25]), atol=1e-12)
 
 

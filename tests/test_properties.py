@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from lambda_capacity.channel import maximally_mixed, qubit_state
+from lambda_capacity.channel import qubit_state
 from lambda_capacity.lambda_system import (
     CLOSED_FORM_MIN,
     LambdaParams,
@@ -84,7 +84,7 @@ def test_batched_call_equals_one_point_calls(batch):
 
 def test_mixed_input_invariances_at_theta_2():
     # maximally mixed input, theta = 2, complete decay
-    rho = maximally_mixed(2).matrix
+    rho = qubit_state(0.5).matrix
     chi = np.linspace(0.0, HALF_PI, 41)[:, None]
     phi = np.linspace(-math.pi, math.pi, 25)[None, :]
     surfaces = {}
@@ -104,7 +104,7 @@ def test_mixed_input_invariances_at_theta_2():
     # at the ends of the range the purification route agrees
     for chi_end, want in ((0.0, 0.176331), (HALF_PI, 0.347004)):
         params = LambdaParams(gamma13=0.5, gamma23=1.0, theta=2.0, chi=chi_end, gamma_t=math.inf)
-        assert round(coherent_information(channel_map(params), maximally_mixed(2)), 6) == want
+        assert round(coherent_information(channel_map(params), qubit_state(0.5)), 6) == want
 
 
 def _objects(point):

@@ -1,14 +1,14 @@
-"""The exact error of every validity rule: parameters, density matrices, probability tables."""
+"""The exact error of every validity rule: parameters and density matrices."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lambda_capacity.channel import DensityMatrix, JointProbabilityTable, NotDensityMatrix, _density_checks
+from lambda_capacity.channel import DensityMatrix, NotDensityMatrix, _density_checks
 from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle, LambdaParams
-from lambda_capacity.linalg import NotNormalized
 
 # one violating value per parameter rule, in rule order, then a point that
 # breaks two rules: the earlier rule is the one reported
@@ -23,14 +23,18 @@ PARAM_CASES = [
      "need gamma13, gamma23 >= 0 with a positive sum, got (0.0, 0.0)"),
 ]
 
+MAX = sys.float_info.max
 # one violating matrix per density check, in check order, then one that breaks two
 DENSITY_CASES = [
-    (np.ones((2, 3)) / 2.0, "expected a square matrix, got shape (2, 3)"),
+    (np.ones((2, 3)) / 2.0, "expected a 2x2 matrix, got shape (2, 3)"),
     (np.array([[0.5, math.nan], [0.0, 0.5]]), "matrix contains NaN or Inf entries"),
     (np.array([[0.5, 0.3], [0.1, 0.5]]), "Hermiticity deviation 2.000e-01"),
     (0.4 * np.eye(2), "trace (0.8+0j) is not 1"),
     (np.diag([1.5, -0.5]), "negative eigenvalue -5.000e-01"),
     (np.array([[0.7, 0.3], [0.1, 0.7]]), "Hermiticity deviation 2.000e-01"),
+    # a coherence at the float limit: the lowest eigenvalue overflows to -inf, not NaN
+    (np.array([[0.5, 1e308 + 1e308j], [1e308 - 1e308j, 0.5]]), "negative eigenvalue -1.414e+308"),
+    (np.array([[0.5, MAX + MAX * 1j], [MAX - MAX * 1j, 0.5]]), "negative eigenvalue -inf"),
 ]
 
 
@@ -40,10 +44,10 @@ def test_cases_break_each_rule_in_turn():
     for k, (values, _, _) in enumerate(PARAM_CASES[:len(PARAM_RULES)]):
         point = SimpleNamespace(**{**defaults, **values})
         assert [i for i, (_, _, holds) in enumerate(PARAM_RULES) if not holds(point)] == [k]
-    # case k fails check k first (a zeroed non-finite matrix fails the trace check too)
+    # case k fails check k first (a non-finite matrix fails later checks too)
     for k, (matrix, _) in enumerate(DENSITY_CASES[1:5]):
-        checks = _density_checks(np.asarray(matrix, dtype=complex)[None])
-        assert [i for i, (passes, _) in enumerate(checks) if not passes[0]][0] == k
+        checks = _density_checks(np.asarray(matrix, dtype=complex).tolist())
+        assert [i for i, (passes, _, _) in enumerate(checks) if not passes][0] == k
 
 
 @pytest.mark.parametrize("values, error, message", PARAM_CASES)
@@ -61,8 +65,3 @@ def test_density_check_messages(matrix, message):
     assert type(caught.value) is NotDensityMatrix
     assert str(caught.value) == message
 
-
-def test_probability_table_message():
-    with pytest.raises(NotNormalized) as caught:
-        JointProbabilityTable(np.full((2, 2), 0.2))
-    assert str(caught.value) == "table sums to 0.8, expected 1"

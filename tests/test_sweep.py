@@ -1,8 +1,10 @@
+import functools
 import math
 import sys
 import types
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAng
 from lambda_capacity.sweep import (
     Axis,
     DEFAULTS,
+    STATE_NAMES,
     InvalidSpec,
     InvalidStateAtPoint,
     SweepSpec,
@@ -22,7 +25,6 @@ from lambda_capacity.sweep import (
     _grid_blocks,
     _params_valid,
     _point_objects,
-    _states,
     figure_preset,
     grid_sweep,
     maximize_ic,
@@ -31,6 +33,8 @@ from lambda_capacity.sweep import (
 from oracle import load_benchmark_reference
 
 TWO_PI = 2.0 * math.pi
+MAX = sys.float_info.max
+ARGSORT = np.argsort
 
 
 def test_axis_values_are_inclusive_linspace():
@@ -145,11 +149,20 @@ def test_block_validity_mask_matches_scalar_constructors():
         "gamma_t": sometimes(rng.uniform(0.0, 8.0, n), [0.0, math.inf, -1e-12, -1.0, math.nan]),
         "asym": sometimes(rng.uniform(0.0, 2.0, n), [0.0, -1e-12, -1.0, math.inf, math.nan]),
         "rho11": rho11,
-        "re_rho12": sometimes(radius * np.cos(angle), [1.7e308, math.inf]),
-        "im_rho12": radius * np.sin(angle),
+        "re_rho12": sometimes(radius * np.cos(angle), [1e308, 1.7e308, MAX, 5e-324, math.inf, -math.inf]),
+        "im_rho12": sometimes(radius * np.sin(angle), [1e308, -MAX, math.nan]),
     }
-    rho, state_valid = _states(columns)
-    valid = _params_valid(columns) & state_valid
+    # the CLI's edge states, at the default parameters
+    edge_states = [(0.5, 1e308, 1e308), (0.5, MAX, MAX), (0.5, MAX, 0.0), (MAX, 0.0, 0.0), (-1e300, 0.0, 0.0),
+                   (0.5, 5e-324, -5e-324), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.0, -0.5)]
+    edges = dict(zip(STATE_NAMES, np.array(edge_states).T))
+    columns = {
+        name: np.concatenate([column, edges.get(name, np.full(len(edge_states), DEFAULTS[name]))])
+        for name, column in columns.items()
+    }
+    n += len(edge_states)
+    rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+    valid = _params_valid(columns) & density_mask(rho)
     errors = [_scalar_error({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
     assert valid.tolist() == [err is None for err in errors]
     assert 0.2 < valid.mean() < 0.8
@@ -165,8 +178,21 @@ def test_block_validity_mask_matches_scalar_constructors():
             continue
         at = SimpleNamespace(**{name: float(column[i]) for name, column in fields.items()})
         failing = [(error, template.format(p=at)) for error, template, passes in rules if not passes[i]]
-        failing += [(NotDensityMatrix, message(i)) for passes, message in checks if not passes[i]]
+        failing += [(NotDensityMatrix, message(value[i])) for passes, value, message in checks if not passes[i]]
         assert (type(err), str(err)) == failing[0]
+
+    # the closed-form lowest eigenvalue of each state's Hermitian part, on the stack
+    # and on each matrix alone, is LAPACK's to 1e-15 of the entries' scale
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian_part = np.where(finite[:, None, None], rho / 2 + rho.conj().swapaxes(1, 2) / 2, 0.0)
+    lapack = np.linalg.eigvalsh(hermitian_part)[:, 0]
+    scale = np.maximum(1.0, np.abs(rho).max(axis=(1, 2), initial=0.0, where=np.isfinite(rho)))
+    one_at_a_time = np.array([_density_checks(matrix.tolist())[3][1] for matrix in rho])
+    resolved = finite & np.isfinite(lapack)
+    assert resolved.sum() > 0.8 * n
+    for lowest in (checks[3][1], one_at_a_time):
+        assert np.all(np.abs(lowest - lapack)[resolved] <= 1e-15 * scale[resolved])
 
     # a non-finite theta given as a fixed value rejects every point of the grid
     base = dict(DEFAULTS, theta=math.inf, rho11=0.3)
@@ -337,7 +363,11 @@ def test_maximize_rejects_unphysical_state_interior():
 
 
 def _scipy_minimize(f, x0, bounds):
-    """The oracle: scipy's bounded Nelder-Mead with the options that ``sweep.minimize`` documents."""
+    """The oracle: scipy's bounded Nelder-Mead with the options that ``sweep.minimize`` documents.
+
+    Its vertex sort is made stable, as ``sweep.minimize``'s is: ``np.argsort``'s
+    default sort orders tied vertices differently on different CPUs.
+    """
     options = {
         "xatol": sweep.SIMPLEX_TOL,
         "fatol": sweep.SIMPLEX_TOL,
@@ -345,7 +375,7 @@ def _scipy_minimize(f, x0, bounds):
         "maxfev": 4 * sweep.MAX_ITERATIONS,
     }
     # scipy subtracts inf from inf on a simplex whose every vertex is unphysical
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"), mock.patch.object(np, "argsort", functools.partial(ARGSORT, kind="stable")):
         return scipy.optimize.minimize(f, np.array(x0, dtype=float), method="Nelder-Mead", bounds=bounds,
                                        options=options)
 
