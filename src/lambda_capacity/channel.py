@@ -1,18 +1,17 @@
 """Qubit input states and channel diagnostics.
 
 ``DensityMatrix`` validates one input state, the qubit in the emitter's two
-ground levels, and ``density_mask`` applies the same checks to a stack of
-them.  A channel from a ``dim_in``-level system to a ``dim_out``-level one
-is held in transfer-operator form: a family of output-space matrices
-``s[m, n]`` such that ``rho_out = sum_mn rho[m, n] * s[m, n]``;
-``validate_channel`` checks its physicality through the Choi matrix.
-Information quantities of the Lambda channel come from ``lambda_system``'s
-evaluator, not from this module.
+ground levels, and ``density_mask`` applies the same checks to the three
+numbers of many such states.  A channel from a ``dim_in``-level system to a
+``dim_out``-level one is held in transfer-operator form: a family of
+output-space matrices ``s[m, n]`` such that
+``rho_out = sum_mn rho[m, n] * s[m, n]``; ``validate_channel`` checks its
+physicality through the Choi matrix.  Information quantities of the Lambda
+channel come from ``lambda_system``'s evaluator, not from this module.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -44,49 +43,51 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise NotDensityMatrix(f"expected a 2x2 matrix, got shape {m.shape}")
-        for passes, value, message in _density_checks(m.tolist()):
+        (a, b), (c, d) = m.tolist()
+        for (passes, value), message in zip(_density_checks(a, b, c, d), DENSITY_MESSAGES):
             if not passes:
-                raise NotDensityMatrix(message(value))
+                raise NotDensityMatrix(message.format(v=value))
         object.__setattr__(self, "matrix", m)
 
 
-# the functions of _density_checks' arithmetic: on Python numbers for one matrix, and on
-# arrays for a stack, where neither an overflow to inf nor a rejected NaN entry may warn
-_POINT_OPS = (math.hypot, max, contextlib.nullcontext)
-_ARRAY_OPS = (np.hypot, np.maximum, lambda: np.errstate(over="ignore", invalid="ignore"))
+# the message of each check of _density_checks, in its order, given the value checked
+DENSITY_MESSAGES = (
+    "matrix contains NaN or Inf entries",
+    "Hermiticity deviation {v:.3e}",
+    "trace {v} is not 1",
+    "negative eigenvalue {v:.3e}",
+)
 
 
-def _density_checks(m):
-    """The checks of :class:`DensityMatrix` on one matrix or a stack, in its order.
+def _density_checks(a, b, c, d):
+    """The checks of :class:`DensityMatrix` on the entries [[a, b], [c, d]], in its order.
 
-    ``m`` is one matrix as nested lists [[a, b], [c, d]] of Python numbers,
-    or a stack (..., 2, 2) of them.  One (passes, value, message) triple per
-    check: finite entries, then Hermiticity deviation, trace and lowest
-    eigenvalue within DENSITY_TOL.  ``passes`` and ``value``, the quantity
-    checked, are Python numbers for one matrix and arrays (...) for a stack;
-    ``message(v)`` describes a failure with that value.  The lowest
-    eigenvalue of the Hermitian part [[p, h], [h*, q]] is
-    (p + q)/2 - hypot((p - q)/2, |h|), each part halved before it is summed,
-    so that entries near the float limit give -inf rather than NaN.
+    The entries are Python numbers for one matrix, or arrays that broadcast
+    for a stack; on arrays the caller keeps numpy quiet about overflow and
+    invalid values, as :func:`density_mask` does.  One (passes, value) pair
+    per check: finite entries, then Hermiticity deviation, trace and lowest
+    eigenvalue within DENSITY_TOL, with ``value`` the quantity checked,
+    which DENSITY_MESSAGES words.  The lowest eigenvalue of the Hermitian
+    part [[p, h], [h*, q]] is (p + q)/2 - hypot((p - q)/2, |h|), each part
+    halved before it is summed, so that entries near the float limit give
+    -inf rather than NaN.
     """
-    hypot, larger, quiet = _POINT_OPS if isinstance(m, list) else _ARRAY_OPS
-    # a stack's entries as arrays (...): its matrix axes moved to the front
-    (a, b), (c, d) = m if isinstance(m, list) else np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
+    stack = any(isinstance(x, np.ndarray) for x in (a, b, c, d))
+    hypot, larger = (np.hypot, np.maximum) if stack else (math.hypot, max)
     finite = True
     for x in (a, b, c, d):
         finite = finite & (abs(x.real) < math.inf) & (abs(x.imag) < math.inf)
-    with quiet():
-        # the entries of m - m^H are 2i Im a and 2i Im d on the diagonal, b - c* and its conjugate off it
-        deviation = larger(larger(2.0 * abs(a.imag), 2.0 * abs(d.imag)), hypot(b.real - c.real, b.imag + c.imag))
-        trace = a + d
-        unit_trace = hypot(trace.real - 1.0, trace.imag) <= DENSITY_TOL
-        coherence = hypot(0.5 * b.real + 0.5 * c.real, 0.5 * b.imag - 0.5 * c.imag)
-        lowest = (0.5 * a.real + 0.5 * d.real) - hypot(0.5 * a.real - 0.5 * d.real, coherence)
+    # the entries of m - m^H are 2i Im a and 2i Im d on the diagonal, b - c* and its conjugate off it
+    deviation = larger(larger(2.0 * abs(a.imag), 2.0 * abs(d.imag)), hypot(b.real - c.real, b.imag + c.imag))
+    trace = a + d
+    unit_trace = hypot(trace.real - 1.0, trace.imag) <= DENSITY_TOL
+    coherence = hypot(0.5 * b.real + 0.5 * c.real, 0.5 * b.imag - 0.5 * c.imag)
+    lowest = (0.5 * a.real + 0.5 * d.real) - hypot(0.5 * a.real - 0.5 * d.real, coherence)
     return (
-        (finite, finite, lambda v: "matrix contains NaN or Inf entries"),
-        (deviation <= DENSITY_TOL, deviation, lambda v: f"Hermiticity deviation {v:.3e}"),
-        (unit_trace, trace, lambda v: f"trace {complex(v)} is not 1"),
-        (lowest >= -DENSITY_TOL, lowest, lambda v: f"negative eigenvalue {v:.3e}"),
+        (finite, finite),
+        (deviation <= DENSITY_TOL, deviation),
+        (unit_trace, trace),
+        (lowest >= -DENSITY_TOL, lowest),
     )
 
 
@@ -97,36 +98,28 @@ def qubit_state(rho11: float, re_rho12: float = 0.0, im_rho12: float = 0.0) -> D
     ``re_rho12 + i*im_rho12``.  Raises :class:`NotDensityMatrix` when the
     parameters leave the physical region |rho12|^2 <= rho11*(1 - rho11).
     """
-    return DensityMatrix(qubit_matrices(rho11, re_rho12, im_rho12))
+    rho12 = complex(re_rho12, im_rho12)
+    return DensityMatrix([[rho11, rho12], [rho12.conjugate(), 1.0 - rho11]])
 
 
-def qubit_matrices(rho11, re_rho12, im_rho12):
-    """The matrices of :func:`qubit_state`, unvalidated.
-
-    Three Python numbers give one matrix as nested lists of Python complex
-    numbers; arrays of shape (...) give an array (..., 2, 2).
-    """
-    if not any(isinstance(x, np.ndarray) for x in (rho11, re_rho12, im_rho12)):
-        coherence = complex(re_rho12, im_rho12)
-        return [[complex(rho11), coherence], [coherence.conjugate(), complex(1.0 - rho11)]]
-    rho11, re_rho12, im_rho12 = np.broadcast_arrays(rho11, re_rho12, im_rho12)
-    m = np.empty(rho11.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = rho11
-    m[..., 0, 1].real = re_rho12
-    m[..., 0, 1].imag = im_rho12
-    m[..., 1, 0] = m[..., 0, 1].conj()
-    m[..., 1, 1] = 1.0 - rho11
-    return m
+def _coherence(re_rho12, im_rho12):
+    """re_rho12 + i*im_rho12 without a multiply, which warns at an infinite part: a complex, or an array over arrays."""
+    if not (isinstance(re_rho12, np.ndarray) or isinstance(im_rho12, np.ndarray)):
+        return complex(re_rho12, im_rho12)
+    rho12 = np.empty(np.broadcast_shapes(np.shape(re_rho12), np.shape(im_rho12)), dtype=complex)
+    rho12.real = re_rho12
+    rho12.imag = im_rho12
+    return rho12
 
 
-def density_mask(matrices):
-    """True where ``DensityMatrix`` accepts the matrix: elementwise over a stack (..., 2, 2).
-
-    One matrix as nested lists, as :func:`qubit_matrices` builds it, gives
-    one bool.  The AND of the checks of :class:`DensityMatrix`.
-    """
+def density_mask(rho11, re_rho12, im_rho12):
+    """True where :func:`qubit_state` accepts these numbers, by :class:`DensityMatrix`'s checks; elementwise over arrays."""
+    rho12 = _coherence(re_rho12, im_rho12)
+    # neither an overflow to inf nor a rejected NaN entry may warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = _density_checks(rho11, rho12, rho12.conjugate(), 1.0 - rho11)
     valid = True
-    for passes, _, _ in _density_checks(matrices):
+    for passes, _ in checks:
         valid = valid & passes
     return valid
 

@@ -290,7 +290,8 @@ def _aligned(rows, width: int) -> str:
 
 def run_compute(cfg: dict) -> int:
     params, rho = _point_objects(_point(cfg))
-    spectra = _spectra(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, rho.matrix)
+    (r11, r12), (_, r22) = rho.matrix.tolist()
+    spectra = _spectra(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, r11.real, r22.real, r12)
     s_out, s_e = entropy_bits(spectra).tolist()
     # (text label, JSON key, value); the atom purifies field and mirror, so the
     # 6x6 field-mirror state has the atom's spectrum and three zeros
@@ -339,12 +340,8 @@ def _optimum_report(best: Optimum) -> str:
 def run_optimize(cfg: dict) -> int:
     if "optimize" not in cfg:
         raise ConfigError("optimize requires a config file with an optimize.free list")
-    free = cfg["optimize"]["free"]
-    fixed = _sweep_overrides(cfg)
-    for name in free:
-        fixed.pop(name, None)
     try:
-        best = maximize_ic(free, cfg["optimize"]["bounds"], fixed=fixed)
+        best = maximize_ic(cfg["optimize"]["free"], cfg["optimize"]["bounds"], fixed=_sweep_overrides(cfg))
     except NoConvergence as err:
         _emit(_optimum_report(err.best), cfg.get("output"))
         print(f"error: {err}", file=sys.stderr)

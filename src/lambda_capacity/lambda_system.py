@@ -29,14 +29,13 @@ modes:
   without moving its spectrum.
 
 :func:`coherent_information_batch` evaluates many points at once this way;
-:func:`coherent_information_at` is its one-point call.  A call of at least
-CLOSED_FORM_MIN points, such as a sweep block, takes both spectra from the
-trigonometric closed form for 3x3 Hermitian matrices (Smith, Commun. ACM 4,
-168 (1961)), and LAPACK's ``eigvalsh`` only at the points the closed form
-cannot resolve: a near-double eigenvalue pair next to a small eigenvalue.
-Smaller calls take LAPACK at every point.  A call at one point, such as
-``compute`` and each simplex step, runs the same arithmetic on Python floats
-and sends both states to one LAPACK call.
+:func:`coherent_information_at` is its one-point call.  A call over arrays,
+such as a sweep block, takes both spectra from the trigonometric closed form
+for 3x3 Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)), and LAPACK's
+``eigvalsh`` only at the points the closed form cannot resolve: a
+near-double eigenvalue pair next to a small eigenvalue.  A call at one
+point, such as ``compute`` and each simplex step, runs the same arithmetic
+on Python floats and sends both states to one LAPACK call.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ import numpy as np
 from .channel import ChannelMap, DensityMatrix
 from .linalg import entropy_bits
 
-# fewest matrices for which the closed-form spectra pay: LAPACK costs about 1 us
-# per matrix, the closed form about 80 us per call plus the LAPACK points it
-# leaves, and on preset-like grids the two meet between 64 and 256 matrices
-CLOSED_FORM_MIN = 128
 # points that the closed form leaves to LAPACK: 1 - |r| below DEGENERATE_TOL and
 # the smallest eigenvalue below SMALL_EIGENVALUE (see _eigvalsh3)
 DEGENERATE_TOL = 1e-2
@@ -203,21 +198,18 @@ def channel_map(params: LambdaParams) -> ChannelMap:
 def _eigvalsh3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
     """Ascending eigenvalues ``shape + (3,)`` of the Hermitian 3x3 matrices with these diagonal and upper entries.
 
-    The entries broadcast to ``shape``, the shape of the matrices.  Calls of
-    fewer than CLOSED_FORM_MIN matrices go through ``np.linalg.eigvalsh``.
-    Larger calls take the trigonometric closed form (Smith, Commun. ACM 4, 168
-    (1961)): with m = tr A / 3, p^2 = tr (A - m)^2 / 6 and
-    r = det(A - m) / (2 p^3) = cos(3 phi), the eigenvalues are
-    m + 2 p cos(phi + 2 pi k / 3).  Near a double eigenvalue, r = +-1, the
-    arccos turns the roundoff of r into an error of about p eps / sqrt(1 - |r|)
-    in the pair (p sqrt(eps) at r = +-1), and an entropy moves by that
-    error times the log of the pair's ratio.  So points with 1 - |r| below
-    DEGENERATE_TOL whose smallest eigenvalue lies below SMALL_EIGENVALUE go
-    through ``np.linalg.eigvalsh``: there the error could make a zero
-    eigenvalue a negative probability, or move an entropy by more than 1e-13.
+    The entries broadcast to ``shape``, the shape of the matrices.  By the
+    trigonometric closed form (Smith, Commun. ACM 4, 168 (1961)), with
+    m = tr A / 3, p^2 = tr (A - m)^2 / 6 and r = det(A - m) / (2 p^3) =
+    cos(3 phi), the eigenvalues are m + 2 p cos(phi + 2 pi k / 3).  Near a
+    double eigenvalue, r = +-1, the arccos turns the roundoff of r into an
+    error of about p eps / sqrt(1 - |r|) in the pair (p sqrt(eps) at
+    r = +-1), and an entropy moves by that error times the log of the
+    pair's ratio.  So points with 1 - |r| below DEGENERATE_TOL whose
+    smallest eigenvalue lies below SMALL_EIGENVALUE go through
+    ``np.linalg.eigvalsh``: there the error could make a zero eigenvalue a
+    negative probability, or move an entropy by more than 1e-13.
     """
-    if math.prod(shape) < CLOSED_FORM_MIN:
-        return np.linalg.eigvalsh(_hermitian3(shape, a11, a22, a33, a12, a13, a23), UPLO="U")
     trace = a11 + a22 + a33
     m = trace / 3.0
     b11, b22, b33 = a11 - m, a22 - m, a33 - m
@@ -260,25 +252,18 @@ _POINT_OPS = (lambda x: complex(math.cos(x), math.sin(x)), math.sin, math.cos, m
 _ARRAY_OPS = (lambda x: np.exp(1j * x), np.sin, np.cos, np.exp, np.expm1, np.sqrt, np.abs)
 
 
-def _spectra(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
+def _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray:
     """The field and atom spectra at many points, stacked: shape (2, ..., 3), each ascending.
 
     Takes the arguments of :func:`coherent_information_batch`, unvalidated;
     ``...`` is the shape of the points.  Works from G = U rho U^dag, the
     atom state right after the pulse; see the module docstring.  Each state
     goes to :func:`_eigvalsh3` as its six diagonal and upper entries: the
-    closed form from CLOSED_FORM_MIN points on, with LAPACK at the points it
-    cannot resolve, and LAPACK alone below that.  One point (every angle and
-    rate 0-d, ``rho`` 2x2) runs the same arithmetic on Python floats, with
+    closed form, with LAPACK at the points it cannot resolve.  One point
+    (no argument an array) runs the same arithmetic on Python floats, with
     both states in one LAPACK call.
     """
-    rho = np.asarray(rho)
-    point = rho.ndim == 2 and not any(getattr(x, "ndim", 0) for x in (theta, chi, phi, gamma_t, alpha1))
-    if point:
-        (r11, r12), (_, r22) = rho.tolist()
-        r11, r22 = r11.real, r22.real
-    else:
-        r11, r22, r12 = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+    point = not any(isinstance(x, np.ndarray) for x in (theta, chi, phi, gamma_t, alpha1, r11, r22, r12))
     cis, sin, cos, exp, expm1, sqrt, magnitude_of = _POINT_OPS if point else _ARRAY_OPS
     # bright state b = (b1, b2); b2 is real
     b1 = cis(-phi) * sin(chi)
@@ -327,16 +312,17 @@ def _upper3(a11, a22, a33, a12, a13, a23) -> list:
     return [a11, a12, a13, 0.0, a22, a23, 0.0, 0.0, a33]
 
 
-def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, rho) -> np.ndarray:
+def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray:
     """Coherent information in bits at many parameter points at once.
 
-    ``theta, chi, phi, gamma_t, alpha1`` are arrays of one shape (N,) (or
-    any common shape) and ``rho`` holds the input density matrices, shape
-    (N, 2, 2) or one (2, 2) shared by every point.  The inputs are not
-    validated: callers check them first (:func:`params_mask`,
-    ``channel.density_mask``).  Returns S(field) - S(atom), shape (N,).
+    ``theta, chi, phi, gamma_t, alpha1`` and the input state's entries
+    ``r11``, ``r22`` (real) and ``r12`` (complex, the upper one) are arrays
+    that broadcast to the shape of the points, such as (N,), or numbers
+    shared by every point.  The inputs are not validated: callers check
+    them first (:func:`params_mask`, ``channel.density_mask``).  Returns
+    S(field) - S(atom), one per point.
     """
-    entropy = entropy_bits(_spectra(theta, chi, phi, gamma_t, alpha1, rho))
+    entropy = entropy_bits(_spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12))
     return entropy[0] - entropy[1]
 
 
@@ -345,6 +331,7 @@ def coherent_information_at(params: LambdaParams, rho: DensityMatrix) -> float:
 
     The one-point call of :func:`coherent_information_batch`.
     """
+    (r11, r12), (_, r22) = rho.matrix.tolist()
     return float(coherent_information_batch(
-        params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, rho.matrix
+        params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, r11.real, r22.real, r12
     ))

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import OptimizeResult
 
-from .channel import DensityMatrix, NotDensityMatrix, density_mask, qubit_matrices, qubit_state
+from .channel import DensityMatrix, NotDensityMatrix, _coherence, density_mask, qubit_state
 from .lambda_system import LambdaParams, coherent_information_batch, params_mask
 
 DEFAULTS: dict[str, float] = {
@@ -44,8 +44,7 @@ MAX_ITERATIONS = 2000
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
 NONZERO_STEP, ZERO_STEP = 0.05, 0.00025
 # points per evaluation block: bounds the batched temporaries whatever the grid
-# size, holds a 41x41 grid whole, and is far above lambda_system.CLOSED_FORM_MIN,
-# so full blocks take closed-form spectra (LAPACK only at unresolved points)
+# size, and holds a 41x41 grid whole
 BLOCK = 2048
 
 
@@ -114,6 +113,8 @@ class SweepSpec:
             stop_ok = math.isfinite(axis.stop) or (axis.name == "gamma_t" and axis.stop == math.inf)
             if not (math.isfinite(axis.start) and stop_ok):
                 raise InvalidSpec(f"axis {axis.name!r} bounds must be finite")
+            if math.isfinite(axis.stop) and not math.isfinite(axis.stop - axis.start):
+                raise InvalidSpec(f"axis {axis.name!r} needs a finite width stop - start")
         size = math.prod(axis.points for axis in self.axes)
         if size * 8 > sys.maxsize:  # numpy's limit on the bytes of one array
             raise InvalidSpec(f"a grid of {size} points is too large to allocate")
@@ -158,11 +159,14 @@ def _point_objects(point: Mapping[str, float]) -> tuple[LambdaParams, DensityMat
     return params, qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
 
 
-def _params_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray:
-    """The conditions of ``LambdaParams``, point by point."""
+def _valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | bool:
+    """True where ``LambdaParams`` and ``qubit_state`` accept the point: elementwise over columns of arrays.
+
+    The one validity rule of grid blocks and simplex steps alike.
+    """
     return params_mask(
         columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"]
-    )
+    ) & density_mask(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
 
 
 def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
@@ -170,35 +174,26 @@ def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: S
 
     ``ic`` holds I_c at the block's points, from flat index ``start`` on; a
     point takes its axis values and ``base`` for the other parameters.
-    Unphysical points are not evaluated and read -inf.  A state depends on
-    the state axes only, so each distinct state is built and checked once,
-    on the sub-grid of those axes (one matrix when none of them varies),
-    before the first block.
+    Unphysical points are not evaluated and read -inf.
     """
     shape = tuple(len(values) for values in axis_values)
-    # each axis as an array of length 1 along every other axis
-    along = {
-        name: values.reshape([-1 if j == k else 1 for j in range(len(shape))])
-        for k, (name, values) in enumerate(zip(names, axis_values))
-    }
-    rho = qubit_matrices(*(along.get(name, base[name]) for name in STATE_NAMES))
-    state_valid = np.broadcast_to(density_mask(rho), shape)
-    rho = np.broadcast_to(rho, shape + (2, 2))
     size = math.prod(shape)
     for start in range(0, size, BLOCK):
         index = np.unravel_index(np.arange(start, min(start + BLOCK, size)), shape)
         columns = {name: np.full(len(index[0]), float(value)) for name, value in base.items()}
         columns.update({name: values[i] for name, values, i in zip(names, axis_values, index)})
-        valid = _params_valid(columns) & state_valid[index]
+        valid = _valid(columns)
         ic = np.full(len(valid), -np.inf)
-        ic[valid] = _block_ic({name: column[valid] for name, column in columns.items()}, rho[index][valid])
+        ic[valid] = _block_ic({name: column[valid] for name, column in columns.items()})
         yield start, ic
 
 
-def _block_ic(columns: Mapping[str, np.ndarray | float], rho: np.ndarray) -> np.ndarray:
-    asym = columns["asym"]
+def _block_ic(columns: Mapping[str, np.ndarray | float]) -> np.ndarray:
+    """I_c at the points of ``columns``, unvalidated: arrays of one shape, or numbers for one point."""
+    asym, rho11 = columns["asym"], columns["rho11"]
     return coherent_information_batch(
-        columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"], asym / (asym + 1.0), rho
+        columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"], asym / (asym + 1.0),
+        rho11, 1.0 - rho11, _coherence(columns["re_rho12"], columns["im_rho12"]),
     )
 
 
@@ -274,6 +269,8 @@ def maximize_ic(
         lo, hi = bounds[name]
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise InvalidSpec(f"bounds for {name!r} must be finite with lo <= hi")
+        if not math.isfinite(hi - lo):
+            raise InvalidSpec(f"bounds for {name!r} need a finite width hi - lo")
     for name in bounds:
         if name not in free:
             raise InvalidSpec(f"bounds given for {name!r}, which is not a free parameter")
@@ -290,10 +287,7 @@ def maximize_ic(
 
     def score(assignment: Mapping[str, float]) -> float:
         here = {**base, **assignment}
-        rho = qubit_matrices(*(here[name] for name in STATE_NAMES))
-        if not (density_mask(rho) and _params_valid(here)):
-            return -math.inf
-        return float(_block_ic(here, rho))
+        return float(_block_ic(here)) if _valid(here) else -math.inf
 
     if not active:
         value = score({})

@@ -638,6 +638,19 @@ ERROR_MESSAGES = [
     ("compute", {"input_state": {"re_rho12": 1e308, "im_rho12": 1e308}}, "negative eigenvalue -1.414e+308"),
     ("compute", {"input_state": {"re_rho12": sys.float_info.max, "im_rho12": sys.float_info.max}},
      "negative eigenvalue -inf"),
+    # an infinite coherence is rejected without a numpy warning on the way
+    ("sweep", {"input_state": {"im_rho12": "inf"}, "sweep": {"axes": [THETA_AXIS]}},
+     "invalid input state at theta=0: matrix contains NaN or Inf entries"),
+    ("optimize", {"input_state": {"im_rho12": "inf"}, "optimize": {"free": ["theta"], "bounds": {"theta": [0, 1]}}},
+     "every coarse-grid point over theta is unphysical"),
+    # finite ends whose distance overflows a float
+    ("sweep", {"sweep": {"axes": [dict(THETA_AXIS, start=-1e308, stop=1e308)]}},
+     "axis 'theta' needs a finite width stop - start"),
+    ("optimize", {"optimize": {"free": ["theta"], "bounds": {"theta": [-1e308, 1e308]}}},
+     "bounds for 'theta' need a finite width hi - lo"),
+    # a value for a free parameter, as a flag would give it, is not silently dropped
+    ("optimize", {"params": {"theta": 1.0}, "optimize": {"free": ["theta"], "bounds": {"theta": [0, 1]}}},
+     "parameter 'theta' is both free and fixed"),
     (
         lambda: sweep.maximize_ic(["theta"], {"theta": (0.0, 1.0)}, fixed={"bogus": 1.0}),
         sweep.InvalidSpec,

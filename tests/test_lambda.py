@@ -5,9 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from lambda_capacity import lambda_system
-from lambda_capacity.channel import qubit_matrices, qubit_state, validate_channel
+from lambda_capacity.channel import qubit_state, validate_channel
 from lambda_capacity.lambda_system import (
-    CLOSED_FORM_MIN,
     InvalidAlphas,
     InvalidAngle,
     LambdaParams,
@@ -265,8 +264,9 @@ def test_evaluator_matches_purification_and_closed_form_routes():
     points = oracle_points()
     states = [qubit_state(*p[5:]) for p in points]
     theta, chi, phi, gt, asym = (np.array(column) for column in zip(*(p[:5] for p in points)))
+    rho = np.array([rho.matrix for rho in states])
     batch = coherent_information_batch(
-        theta, chi, phi, gt, asym / (asym + 1.0), np.array([rho.matrix for rho in states])
+        theta, chi, phi, gt, asym / (asym + 1.0), rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
     )
     assert batch.shape == (len(points),)
     for (theta, chi, phi, gt, asym, *_), rho, ic_batch in zip(points, states, batch):
@@ -323,7 +323,9 @@ def test_evaluator_matches_independent_reference_for_general_pulses():
     assert {0.0, math.inf} <= set(gamma_t.tolist())
     assert np.iscomplexobj(rho) and np.abs(rho[:, 0, 1].imag).max() > 0.1
 
-    ours = coherent_information_batch(theta, chi, phi, gamma_t, asym / (asym + 1.0), rho)
+    ours = coherent_information_batch(
+        theta, chi, phi, gamma_t, asym / (asym + 1.0), rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
+    )
     theirs = reference.evaluate(theta, chi, phi, gamma_t, asym, rho)["Ic"]
     assert np.abs(ours - theirs).max() < 1e-12
 
@@ -331,7 +333,6 @@ def test_evaluator_matches_independent_reference_for_general_pulses():
 def test_closed_form_spectra_match_lapack_at_edges():
     rng = np.random.default_rng(1061)
     n = 2048
-    assert n >= CLOSED_FORM_MIN
 
     def column(edges, low, high):
         values = rng.uniform(low, high, n)
@@ -359,10 +360,11 @@ def test_closed_form_spectra_match_lapack_at_edges():
     ]
     for i, edge in enumerate(edges):
         theta[i], chi[i], phi[i], gamma_t[i], asym[i], rho11[i], radius[i] = edge
-    rho = qubit_matrices(rho11, radius * np.cos(angle), radius * np.sin(angle))
+    rho12 = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+    rho = np.moveaxis(np.array([[rho11, rho12], [rho12.conj(), 1.0 - rho11]]), -1, 0)
     alpha1 = asym / (asym + 1.0)
 
-    spectra = _spectra(theta, chi, phi, gamma_t, alpha1, rho)
+    spectra = _spectra(theta, chi, phi, gamma_t, alpha1, rho11, 1.0 - rho11, rho12)
     assert np.diff(spectra, axis=-1).min() >= -1e-14  # ascending, up to roundoff
     ours = entropy_bits(spectra)
     # the states built from the isometry W = V U, one point at a time

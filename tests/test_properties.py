@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from lambda_capacity.channel import qubit_state
 from lambda_capacity.lambda_system import (
-    CLOSED_FORM_MIN,
     LambdaParams,
     channel_map,
     coherent_information_at,
@@ -24,6 +23,12 @@ from oracle import coherent_information, entropy
 
 HALF_PI = math.pi / 2
 TWO_PI = 2.0 * math.pi
+
+
+def _entries(rho):
+    """The entries r11, r22 (Python floats) and r12 (a Python complex) of a DensityMatrix."""
+    (r11, r12), (_, r22) = rho.matrix.tolist()
+    return r11.real, r22.real, r12
 
 
 def _with_edges(edges, low, high):
@@ -66,30 +71,25 @@ def test_evaluator_matches_purification_route_and_bounds(point):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(points(), min_size=1, max_size=25))
 def test_batched_call_equals_one_point_calls(batch):
-    # one point of Python floats and one 2x2 state: the spectra's one-point path
-    arguments = [((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1), rho.matrix) for p, rho in batch]
-    assert all(type(x) is float for floats, _ in arguments for x in floats)
-    single = [coherent_information_batch(*floats, rho) for floats, rho in arguments]
-    # as drawn, a batch is smaller than CLOSED_FORM_MIN and takes LAPACK; repeated
-    # to CLOSED_FORM_MIN points or more, it takes the closed-form spectra
-    for copies in (1, -(-CLOSED_FORM_MIN // len(batch))):
-        repeated = batch * copies
-        columns = zip(*((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1) for p, _ in repeated))
-        rho = np.array([rho.matrix for _, rho in repeated])
-        values = coherent_information_batch(*(np.array(column) for column in columns), rho)
-        assert values.shape == (len(repeated),)
-        for value, expected in zip(values, single * copies):
-            assert abs(value - expected) <= 1e-13
+    # one point of Python numbers: the spectra's one-point path
+    arguments = [(p.theta, p.chi, p.phi, p.gamma_t, p.alpha1, *_entries(rho)) for p, rho in batch]
+    assert all(type(x) in (float, complex) for point in arguments for x in point)
+    single = [coherent_information_batch(*point) for point in arguments]
+    # arrays: the closed-form spectra, at every batch size
+    values = coherent_information_batch(*(np.array(column) for column in zip(*arguments)))
+    assert values.shape == (len(batch),)
+    for value, expected in zip(values, single):
+        assert abs(value - expected) <= 1e-13
 
 
 def test_mixed_input_invariances_at_theta_2():
     # maximally mixed input, theta = 2, complete decay
-    rho = qubit_state(0.5).matrix
+    rho = _entries(qubit_state(0.5))
     chi = np.linspace(0.0, HALF_PI, 41)[:, None]
     phi = np.linspace(-math.pi, math.pi, 25)[None, :]
     surfaces = {}
     for asym in (0.0, 0.5, 1.0, 2.0):
-        values = coherent_information_batch(2.0, chi, phi, math.inf, asym / (asym + 1.0), rho)
+        values = coherent_information_batch(2.0, chi, phi, math.inf, asym / (asym + 1.0), *rho)
         assert values.shape == (41, 25)
         # no dependence on phi, whatever the decay asymmetry
         assert np.ptp(values, axis=1).max() <= 1e-12
@@ -120,11 +120,10 @@ def _as_dict(params, rho):
 
 
 def _batch(points):
-    """coherent_information_batch over these points, repeated to CLOSED_FORM_MIN points or more."""
-    objects = [_objects(p) for p in points] * -(-CLOSED_FORM_MIN // len(points))
-    columns = zip(*((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1) for p, _ in objects))
-    rho = np.array([rho.matrix for _, rho in objects])
-    return coherent_information_batch(*(np.array(column) for column in columns), rho)
+    """coherent_information_batch over these points."""
+    objects = [_objects(p) for p in points]
+    columns = zip(*((p.theta, p.chi, p.phi, p.gamma_t, p.alpha1, *_entries(rho)) for p, rho in objects))
+    return coherent_information_batch(*(np.array(column) for column in columns))
 
 
 def _symmetries(a):

@@ -46,8 +46,8 @@ def test_cases_break_each_rule_in_turn():
         assert [i for i, (_, _, holds) in enumerate(PARAM_RULES) if not holds(point)] == [k]
     # case k fails check k first (a non-finite matrix fails later checks too)
     for k, (matrix, _) in enumerate(DENSITY_CASES[1:5]):
-        checks = _density_checks(np.asarray(matrix, dtype=complex).tolist())
-        assert [i for i, (passes, _, _) in enumerate(checks) if not passes][0] == k
+        (a, b), (c, d) = np.asarray(matrix, dtype=complex).tolist()
+        assert [i for i, (passes, _) in enumerate(_density_checks(a, b, c, d)) if not passes][0] == k
 
 
 @pytest.mark.parametrize("values, error, message", PARAM_CASES)

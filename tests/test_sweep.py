@@ -11,7 +11,7 @@ import pytest
 import scipy.optimize
 
 from lambda_capacity import sweep
-from lambda_capacity.channel import NotDensityMatrix, _density_checks, density_mask, qubit_matrices
+from lambda_capacity.channel import DENSITY_MESSAGES, NotDensityMatrix, _coherence, _density_checks
 from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle
 from lambda_capacity.sweep import (
     Axis,
@@ -23,8 +23,8 @@ from lambda_capacity.sweep import (
     UnknownFigure,
     _block_ic,
     _grid_blocks,
-    _params_valid,
     _point_objects,
+    _valid,
     figure_preset,
     grid_sweep,
     maximize_ic,
@@ -150,7 +150,7 @@ def test_block_validity_mask_matches_scalar_constructors():
         "asym": sometimes(rng.uniform(0.0, 2.0, n), [0.0, -1e-12, -1.0, math.inf, math.nan]),
         "rho11": rho11,
         "re_rho12": sometimes(radius * np.cos(angle), [1e308, 1.7e308, MAX, 5e-324, math.inf, -math.inf]),
-        "im_rho12": sometimes(radius * np.sin(angle), [1e308, -MAX, math.nan]),
+        "im_rho12": sometimes(radius * np.sin(angle), [1e308, -MAX, math.nan, math.inf, -math.inf]),
     }
     # the CLI's edge states, at the default parameters
     edge_states = [(0.5, 1e308, 1e308), (0.5, MAX, MAX), (0.5, MAX, 0.0), (MAX, 0.0, 0.0), (-1e300, 0.0, 0.0),
@@ -161,34 +161,45 @@ def test_block_validity_mask_matches_scalar_constructors():
         for name, column in columns.items()
     }
     n += len(edge_states)
-    rho = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
-    valid = _params_valid(columns) & density_mask(rho)
-    errors = [_scalar_error({k: float(v[i]) for k, v in columns.items()}) for i in range(n)]
+    valid = _valid(columns)
+    points = [{k: float(v[i]) for k, v in columns.items()} for i in range(n)]
+    errors = [_scalar_error(point) for point in points]
     assert valid.tolist() == [err is None for err in errors]
     assert 0.2 < valid.mean() < 0.8
+    # a simplex step checks one point of Python floats with the same function
+    assert [bool(_valid(point)) for point in points] == valid.tolist()
 
     # each rejected point's error is the first rule that fails there, with the
     # rules evaluated over the whole block as the mask evaluates them
     fields = {name: columns[name] for name in ("theta", "chi", "phi", "gamma_t")}
     fields.update(gamma13=columns["asym"], gamma23=np.ones(n), delta_R=np.zeros(n))
     rules = [(error, template, holds(SimpleNamespace(**fields))) for error, template, holds in PARAM_RULES]
-    checks = _density_checks(rho)
+    # each state's entries as DensityMatrix holds them: complex
+    rho11, rho12 = columns["rho11"].astype(complex), _coherence(columns["re_rho12"], columns["im_rho12"])
+    entries = (rho11, rho12, rho12.conj(), 1.0 - rho11)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = _density_checks(*entries)
     for i, err in enumerate(errors):
         if err is None:
             continue
         at = SimpleNamespace(**{name: float(column[i]) for name, column in fields.items()})
         failing = [(error, template.format(p=at)) for error, template, passes in rules if not passes[i]]
-        failing += [(NotDensityMatrix, message(value[i])) for passes, value, message in checks if not passes[i]]
+        failing += [
+            (NotDensityMatrix, message.format(v=value[i]))
+            for (passes, value), message in zip(checks, DENSITY_MESSAGES)
+            if not passes[i]
+        ]
         assert (type(err), str(err)) == failing[0]
 
     # the closed-form lowest eigenvalue of each state's Hermitian part, on the stack
     # and on each matrix alone, is LAPACK's to 1e-15 of the entries' scale
+    rho = np.moveaxis(np.array(entries).reshape(2, 2, n), -1, 0)
     finite = np.isfinite(rho).all(axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         hermitian_part = np.where(finite[:, None, None], rho / 2 + rho.conj().swapaxes(1, 2) / 2, 0.0)
     lapack = np.linalg.eigvalsh(hermitian_part)[:, 0]
     scale = np.maximum(1.0, np.abs(rho).max(axis=(1, 2), initial=0.0, where=np.isfinite(rho)))
-    one_at_a_time = np.array([_density_checks(matrix.tolist())[3][1] for matrix in rho])
+    one_at_a_time = np.array([_density_checks(*matrix.ravel().tolist())[3][1] for matrix in rho])
     resolved = finite & np.isfinite(lapack)
     assert resolved.sum() > 0.8 * n
     for lowest in (checks[3][1], one_at_a_time):
@@ -209,6 +220,7 @@ def _boundary_coherences(rng, rho11_values, count):
 
 
 def test_hoisted_state_mask_matches_per_point_mask(monkeypatch):
+    """The mask that ``_grid_blocks`` takes once per block is the constructors' verdict at every point."""
     rng = np.random.default_rng(71)
     half_pi = math.pi / 2
     rho11 = rng.permutation(np.concatenate([[0.0, 1.0, -1e-9, 1.0 + 1e-9], rng.uniform(0.05, 0.95, 5)]))
@@ -236,12 +248,12 @@ def test_hoisted_state_mask_matches_per_point_mask(monkeypatch):
     for fixed, axes in grids:
         base = dict(DEFAULTS, **fixed)
         names, values = list(axes), [np.asarray(v, dtype=float) for v in axes.values()]
-        # every point's parameters and input state, built point by point
+        # every point's parameters and input state, checked point by point by the constructors
         mesh = np.meshgrid(*values, indexing="ij")
         columns = {name: np.full(mesh[0].size, value) for name, value in base.items()}
         columns.update({name: grid.ravel() for name, grid in zip(names, mesh)})
-        per_point = qubit_matrices(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
-        valid = _params_valid(columns) & density_mask(per_point)
+        points = [{k: float(v[i]) for k, v in columns.items()} for i in range(mesh[0].size)]
+        valid = np.array([_scalar_error(point) is None for point in points])
 
         # every grid here is one block: the physical points are evaluated as one batch
         blocks = list(_grid_blocks(base, names, values))
@@ -249,7 +261,7 @@ def test_hoisted_state_mask_matches_per_point_mask(monkeypatch):
         ic = blocks[0][1]
         assert (ic != -math.inf).tolist() == valid.tolist()
         kept = {name: column[valid] for name, column in columns.items()}
-        assert np.array_equal(ic[valid], _block_ic(kept, per_point[valid]))
+        assert np.array_equal(ic[valid], _block_ic(kept))
         mixed.append(0 < valid.sum() < valid.size)
 
         # in blocks of 5 points the offsets step by 5 and the same points are physical
@@ -293,7 +305,7 @@ def test_maximize_over_pulse_angle():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: bounded Nelder-Mead clips the 1-D simplex onto the bound chi = pi/2",
+    reason="ROADMAP item 3: bounded Nelder-Mead clips the 1-D simplex onto the bound chi = pi/2",
 )
 def test_maximize_reaches_optimum_next_to_a_bound():
     # the coarse seed is chi = pi/2; the search returns it after 2 iterations
