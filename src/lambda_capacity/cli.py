@@ -26,6 +26,7 @@ from .lambda_system import InvalidAlphas, InvalidAngle, _spectra, channel_map
 from .linalg import NegativeProbability, NotNormalized, entropy_bits
 from .sweep import (
     DEFAULTS,
+    FIGURES,
     PARAM_NAMES,
     STATE_NAMES,
     Axis,
@@ -367,7 +368,7 @@ def run_validate(cfg: dict) -> int:
 COMMANDS = {
     "compute": (run_compute, "single-point report: I_c, entropies, spectra"),
     "sweep": (run_sweep, "evaluate I_c on a parameter grid from a config file"),
-    "figure": (run_figure, "run one of the preset grids (fig1a, fig1b, fig2a, fig2b)"),
+    "figure": (run_figure, f"run one of the preset grids ({', '.join(FIGURES)})"),
     "optimize": (run_optimize, "maximize I_c over chosen parameters"),
     "validate": (run_validate, "check the channel's physicality diagnostics"),
 }
@@ -389,7 +390,7 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + param.replace("_", "-"), type=float, help=param_help)
         p.add_argument("--dump-config", help="write the merged effective config to this path")
         if name == "figure":
-            p.add_argument("--figure", help="preset id: fig1a, fig1b, fig2a or fig2b")
+            p.add_argument("--figure", help="preset id: " + ", ".join(FIGURES))
     return parser
 
 

@@ -21,7 +21,7 @@ in |3> and moves E = 1 - s^2 of it to the ground levels and the photon
 modes:
 
 * atom state: G with row and column 3 scaled by s, plus alpha1 E G_33 on
-  |1><1| and alpha2 E G_33 on |2><2|;
+  |1><1| and alpha2 E G_33 on |2><2|, alpha2 = 1 - alpha1;
 * field state: an arrow matrix with diagonal
   (G_11 + G_22 + s^2 G_33, alpha1 E G_33, alpha2 E G_33) and vacuum-photon
   entries sqrt(alpha_j E) G_j3.  Its ph13-ph23 entry is zero, so a diagonal
@@ -83,11 +83,11 @@ PARAM_RULES = (
 
 @dataclass(frozen=True)
 class LambdaParams:
-    """Parameters of one pulse-then-decay cycle.
+    """Parameters of one pulse-then-decay cycle: one point of the model.
 
     gamma13, gamma23:
         Radiative decay rates of the 3->1 and 3->2 transitions (any common
-        unit); only the branching ratios alpha1, alpha2 enter the channel.
+        unit); only the branching ratio alpha1 enters the channel.
     theta:
         Total action angle of the pulse pair, Omega * tau_p.
     chi:
@@ -124,51 +124,37 @@ class LambdaParams:
             return (0.5 * self.gamma13) / (0.5 * self.gamma13 + 0.5 * self.gamma23)
         return self.gamma13 / total
 
-    @property
-    def alpha2(self) -> float:
-        """Branching ratio of the 3->2 transition; alpha1 + alpha2 == 1 exactly."""
-        return 1.0 - self.alpha1
-
 
 def _pulse(theta, chi, phi) -> np.ndarray:
-    """The pulse propagator's ground columns U|1>, U|2> over angle arrays of shape (...): (..., 3, 2).
+    """The pulse propagator's ground columns U|1>, U|2> at one point: a (3, 2) array.
 
     The rotating-frame H = (Omega/2) [sin(chi) e^{i phi} |3><1| + cos(chi) |3><2| + h.c.],
     Omega tau_p = theta, couples |3> only to the bright state b, so U = exp(-i H tau_p) =
     |d><d| + cos(theta/2)(|b><b| + |3><3|) - i sin(theta/2)(|3><b| + |b><3|), d the dark state.
     """
-    theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
-    bright = np.stack([np.exp(-1j * phi) * np.sin(chi), np.cos(chi).astype(complex)], axis=-1)
+    bright = np.array([np.exp(-1j * phi) * np.sin(chi), np.cos(chi)], dtype=complex)
     half = 0.5 * theta
-    outer = bright[..., :, None] * bright.conj()[..., None, :]
-    u = np.empty(theta.shape + (3, 2), dtype=complex)
-    u[..., :2, :] = np.eye(2) + (np.cos(half) - 1.0)[..., None, None] * outer
-    u[..., 2, :] = -1j * np.sin(half)[..., None] * bright.conj()
+    u = np.empty((3, 2), dtype=complex)
+    u[:2] = np.eye(2) + (np.cos(half) - 1.0) * np.outer(bright, bright.conj())
+    u[2] = -1j * np.sin(half) * bright.conj()
     return u
 
 
-def _decay(alpha1, alpha2, gamma_t) -> np.ndarray:
-    """The decay isometry from the atom into atom x field, over arrays of shape (...): (..., 9, 3).
+def _decay(alpha1, gamma_t) -> np.ndarray:
+    """The decay isometry from the atom into atom x field at one point: a (9, 3) array.
 
     The excited level survives with amplitude e^{-gamma_t/2} and otherwise decays to |1>|ph13> or
-    |2>|ph23> with weights alpha1, alpha2; the ground levels keep the field in vacuum.  Rows are
+    |2>|ph23> with weights alpha1, 1 - alpha1; the ground levels keep the field in vacuum.  Rows are
     atom-major: (1,0), (1,ph13), (1,ph23), (2,0), ..., (3,ph23).
     """
-    alpha1, alpha2, gamma_t = np.broadcast_arrays(alpha1, alpha2, gamma_t)
     emitted = np.sqrt(1.0 - np.exp(-gamma_t))
-    v = np.zeros(gamma_t.shape + (9, 3), dtype=complex)
-    v[..., 0, 0] = 1.0
-    v[..., 3, 1] = 1.0
-    v[..., 6, 2] = np.exp(-0.5 * gamma_t)
-    v[..., 1, 2] = emitted * np.sqrt(alpha1)
-    v[..., 5, 2] = emitted * np.sqrt(alpha2)
+    v = np.zeros((9, 3), dtype=complex)
+    v[0, 0] = 1.0
+    v[3, 1] = 1.0
+    v[6, 2] = np.exp(-0.5 * gamma_t)
+    v[1, 2] = emitted * np.sqrt(alpha1)
+    v[5, 2] = emitted * np.sqrt(1.0 - alpha1)
     return v
-
-
-def _isometry(theta, chi, phi, gamma_t, alpha1) -> np.ndarray:
-    """W = V U, the pulse then the decay, as a (..., 3 atom, 3 field, 2 input) array."""
-    w = _decay(alpha1, 1.0 - np.asarray(alpha1), gamma_t) @ _pulse(theta, chi, phi)
-    return w.reshape(w.shape[:-2] + (3, 3, 2))
 
 
 def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray:
@@ -188,10 +174,11 @@ def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray:
 def channel_map(params: LambdaParams) -> ChannelMap:
     """Assemble the qubit -> photon-field channel for the given parameters.
 
-    Traces the atom out of W = V U:
+    Composes W = V U, the pulse then the decay, as a (3 atom, 3 field, 2 input)
+    array, and traces the atom out:
     s[m, n][a, b] = sum_k W[k,a,m] * conj(W[k,b,n]).
     """
-    w = _isometry(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1)
+    w = (_decay(params.alpha1, params.gamma_t) @ _pulse(params.theta, params.chi, params.phi)).reshape(3, 3, 2)
     return ChannelMap(np.einsum("kam,kbn->mnab", w, w.conj()))
 
 

@@ -434,36 +434,26 @@ def _ascending(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[flo
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def figure_preset(figure_id: str) -> SweepSpec:
-    """Canned sweep grids for the four standard surfaces.
+# the figure presets, id -> (axes, fixed); every grid is 41x41
+FIGURES = {
+    # (theta, chi) for the diagonal input diag(1/4, 3/4), full decay
+    "fig1a": ((Axis("theta", 0.0, 2.0 * math.pi, 41), Axis("chi", 0.0, math.pi / 2, 41)),
+              {"gamma_t": math.inf, "asym": 1.0, "rho11": 0.25, "re_rho12": 0.0, "im_rho12": 0.0}),
+    # (theta, gamma_t) for the maximally mixed input
+    "fig1b": ((Axis("theta", 0.0, 2.0 * math.pi, 41), Axis("gamma_t", 0.0, 8.0, 41)),
+              {"asym": 1.0}),
+    # (theta, rho11) over diagonal inputs, full decay
+    "fig2a": ((Axis("theta", 0.0, 2.0 * math.pi, 41), Axis("rho11", 0.0, 1.0, 41)),
+              {"gamma_t": math.inf, "asym": 1.0, "re_rho12": 0.0, "im_rho12": 0.0}),
+    # (asym, chi) at theta = pi, full decay, maximally mixed input
+    "fig2b": ((Axis("asym", 0.0, 1.0, 41), Axis("chi", 0.0, math.pi / 2, 41)),
+              {"theta": math.pi, "gamma_t": math.inf}),
+}
 
-    fig1a: (theta, chi) for the diagonal input diag(1/4, 3/4), full decay.
-    fig1b: (theta, gamma_t) for the maximally mixed input.
-    fig2a: (theta, rho11) over diagonal inputs, full decay.
-    fig2b: (asym, chi) at theta = pi, full decay, maximally mixed input.
-    All grids are 41x41.
-    """
-    n = 41
-    two_pi = 2.0 * math.pi
-    half_pi = math.pi / 2
-    if figure_id == "fig1a":
-        return SweepSpec(
-            axes=(Axis("theta", 0.0, two_pi, n), Axis("chi", 0.0, half_pi, n)),
-            fixed={"gamma_t": math.inf, "asym": 1.0, "rho11": 0.25, "re_rho12": 0.0, "im_rho12": 0.0},
-        )
-    if figure_id == "fig1b":
-        return SweepSpec(
-            axes=(Axis("theta", 0.0, two_pi, n), Axis("gamma_t", 0.0, 8.0, n)),
-            fixed={"asym": 1.0},
-        )
-    if figure_id == "fig2a":
-        return SweepSpec(
-            axes=(Axis("theta", 0.0, two_pi, n), Axis("rho11", 0.0, 1.0, n)),
-            fixed={"gamma_t": math.inf, "asym": 1.0, "re_rho12": 0.0, "im_rho12": 0.0},
-        )
-    if figure_id == "fig2b":
-        return SweepSpec(
-            axes=(Axis("asym", 0.0, 1.0, n), Axis("chi", 0.0, half_pi, n)),
-            fixed={"theta": math.pi, "gamma_t": math.inf},
-        )
-    raise UnknownFigure(f"unknown figure id {figure_id!r}")
+
+def figure_preset(figure_id: str) -> SweepSpec:
+    """The grid of the preset ``figure_id`` in FIGURES; its ``fixed`` is a copy, so callers cannot change the table."""
+    if figure_id not in FIGURES:
+        raise UnknownFigure(f"unknown figure id {figure_id!r}")
+    axes, fixed = FIGURES[figure_id]
+    return SweepSpec(axes=axes, fixed=dict(fixed))

@@ -100,13 +100,13 @@ def test_pulse_rejects_bad_angles():
 
 
 def test_decay_nothing_emitted_at_time_zero():
-    v = _decay(0.5, 0.5, 0.0)
+    v = _decay(0.5, 0.0)
     assert v[1, 2] == 0.0 and v[5, 2] == 0.0
     assert v[6, 2] == 1.0
 
 
 def test_decay_complete_emission_at_long_times():
-    v = _decay(0.5, 0.5, math.inf)
+    v = _decay(0.5, math.inf)
     assert v[6, 2] == 0.0
     assert v[1, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert v[5, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
@@ -115,14 +115,14 @@ def test_decay_complete_emission_at_long_times():
 def test_decay_columns_stay_orthonormal():
     for a1 in (0.0, 0.25, 0.7, 1.0):
         for gt in GT_GRID:
-            v = _decay(a1, 1.0 - a1, gt)
+            v = _decay(a1, gt)
             assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
 
 
 def test_decay_excited_population_follows_exponential():
     psi = np.array([0.3, 0.4j, math.sqrt(1 - 0.25)])
     for gt in (0.0, 0.7, 2.0, math.inf):
-        m = (_decay(0.3, 0.7, gt) @ psi).reshape(3, 3)
+        m = (_decay(0.3, gt) @ psi).reshape(3, 3)
         atom = m @ m.conj().T
         assert abs(atom[2, 2].real - 0.75 * math.exp(-gt)) < 1e-12
 
@@ -147,7 +147,6 @@ def test_decay_rejects_bad_parameters():
 def test_params_branching_ratios():
     p = LambdaParams(gamma13=1.0, gamma23=3.0)
     assert p.alpha1 == pytest.approx(0.25)
-    assert p.alpha1 + p.alpha2 == 1.0
 
 
 def test_params_validation():
@@ -186,7 +185,7 @@ def test_composed_isometry_is_isometric():
         for chi in np.linspace(0.0, math.pi / 2, 4):
             for gt in GT_GRID:
                 u = _pulse(theta, chi, 0.4)
-                v = _decay(0.3, 0.7, gt)
+                v = _decay(0.3, gt)
                 w = v @ u
                 assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-12
 
@@ -276,7 +275,7 @@ def test_evaluator_matches_purification_and_closed_form_routes():
         assert abs(ic_batch - reference) < 1e-12
         # closed_form_channel is written out for chi = pi/2, phi = 0
         drive = LambdaParams(gamma13=asym, gamma23=1.0, theta=theta, gamma_t=gt)
-        closed = closed_form_channel(theta, gt, drive.alpha1, drive.alpha2)
+        closed = closed_form_channel(theta, gt, drive.alpha1, 1.0 - drive.alpha1)
         ic_drive = coherent_information_at(drive, rho)
         assert abs(ic_drive - coherent_information(closed, rho)) < 1e-12
         assert abs(ic_drive - coherent_information(channel_map(drive), rho)) < 1e-12
@@ -369,7 +368,7 @@ def test_closed_form_spectra_match_lapack_at_edges():
     ours = entropy_bits(spectra)
     # the states built from the isometry W = V U, one point at a time
     w = np.array([
-        (_decay(a1, 1.0 - a1, gt) @ _pulse(th, ch, ph)).reshape(3, 3, 2)
+        (_decay(a1, gt) @ _pulse(th, ch, ph)).reshape(3, 3, 2)
         for th, ch, ph, gt, a1 in zip(theta, chi, phi, gamma_t, alpha1)
     ])
     field = np.einsum("ikam,imn,ikbn->iab", w, rho, w.conj())

@@ -16,6 +16,7 @@ from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAng
 from lambda_capacity.sweep import (
     Axis,
     DEFAULTS,
+    FIGURES,
     STATE_NAMES,
     InvalidSpec,
     InvalidStateAtPoint,
@@ -219,7 +220,7 @@ def _boundary_coherences(rng, rho11_values, count):
     return rng.permutation(np.concatenate([on.ravel(), rng.uniform(-0.6, 0.6, count)]))
 
 
-def test_hoisted_state_mask_matches_per_point_mask(monkeypatch):
+def test_grid_block_mask_and_values_match_each_point(monkeypatch):
     """The mask that ``_grid_blocks`` takes once per block is the constructors' verdict at every point."""
     rng = np.random.default_rng(71)
     half_pi = math.pi / 2
@@ -414,14 +415,20 @@ def checked_searches(monkeypatch):
     return searches
 
 
-@pytest.fixture
-def benchmark_problems(monkeypatch):
-    """The benchmark's 40 optimize problems (seeds 501-510), drawn by its own source file."""
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's workloads module, run from its source file, so that no bytecode lands next to it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     module = types.ModuleType("benchmark_workloads")
     monkeypatch.setitem(sys.modules, "reference", load_benchmark_reference())
     monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture
+def benchmark_problems(monkeypatch):
+    """The benchmark's 40 optimize problems (seeds 501-510), drawn by its own source file."""
+    module = _benchmark_workloads(monkeypatch)
     return [p for seed in range(501, 511) for p in module.optimize_problems(np.random.default_rng(seed))]
 
 
@@ -487,24 +494,41 @@ def test_simplex_stops_as_scipys_at_the_caps(monkeypatch):
 # ------------------------------------------------------------------ presets
 
 
+# each preset's axes as (name, start, stop, points) and its fixed values
+PRESETS = {
+    "fig1a": ([("theta", 0.0, TWO_PI, 41), ("chi", 0.0, math.pi / 2, 41)],
+              {"gamma_t": math.inf, "asym": 1.0, "rho11": 0.25, "re_rho12": 0.0, "im_rho12": 0.0}),
+    "fig1b": ([("theta", 0.0, TWO_PI, 41), ("gamma_t", 0.0, 8.0, 41)], {"asym": 1.0}),
+    "fig2a": ([("theta", 0.0, TWO_PI, 41), ("rho11", 0.0, 1.0, 41)],
+              {"gamma_t": math.inf, "asym": 1.0, "re_rho12": 0.0, "im_rho12": 0.0}),
+    "fig2b": ([("asym", 0.0, 1.0, 41), ("chi", 0.0, math.pi / 2, 41)], {"theta": math.pi, "gamma_t": math.inf}),
+}
+
+
 def test_presets_have_documented_shapes():
-    fig1a = figure_preset("fig1a")
-    assert [a.name for a in fig1a.axes] == ["theta", "chi"]
-    assert fig1a.fixed["rho11"] == 0.25
-    assert fig1a.fixed["gamma_t"] == math.inf
+    for figure, (axes, fixed) in PRESETS.items():
+        preset = figure_preset(figure)
+        assert [(a.name, a.start, a.stop, a.points) for a in preset.axes] == axes
+        assert preset.fixed == fixed
+        # a caller that changes its preset's fixed values leaves the next call's as they were
+        preset.fixed.clear()
+        preset.fixed["phi"] = 1.0
+        assert figure_preset(figure).fixed == fixed
 
-    fig1b = figure_preset("fig1b")
-    assert [a.name for a in fig1b.axes] == ["theta", "gamma_t"]
-    assert fig1b.axes[1].stop == 8.0
 
-    fig2a = figure_preset("fig2a")
-    assert [a.name for a in fig2a.axes] == ["theta", "rho11"]
-
-    fig2b = figure_preset("fig2b")
-    assert [a.name for a in fig2b.axes] == ["asym", "chi"]
-    assert fig2b.fixed["theta"] == math.pi
-    for preset in (fig1a, fig1b, fig2a, fig2b):
-        assert all(axis.points == 41 for axis in preset.axes)
+def test_presets_match_the_benchmark_copy(monkeypatch):
+    """The benchmark checks each figure against its own copy of the presets: both copies name the same grids."""
+    workloads = _benchmark_workloads(monkeypatch)
+    assert sorted(copy.figure for copy in workloads.PRESETS) == sorted(FIGURES) == sorted(PRESETS)
+    assert workloads.GRID == 41
+    for copy in workloads.PRESETS:
+        preset = figure_preset(copy.figure)
+        assert [(a.name, a.start, a.stop) for a in preset.axes] == list(copy.axes)
+        assert all(a.points == workloads.GRID for a in preset.axes)
+        # the point each grid varies from, on the parameters that are not axes
+        others = set(DEFAULTS) - {a.name for a in preset.axes}
+        ours, theirs = DEFAULTS | preset.fixed, DEFAULTS | copy.fixed
+        assert {k: ours[k] for k in others} == {k: theirs[k] for k in others}
 
 
 def test_unknown_preset():
