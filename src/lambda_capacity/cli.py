@@ -28,6 +28,7 @@ from .sweep import (
     DEFAULTS,
     FIGURES,
     PARAM_NAMES,
+    PARAMETERS,
     STATE_NAMES,
     Axis,
     InvalidSpec,
@@ -55,19 +56,6 @@ CHANNEL_KEYS = RATE_KEYS + tuple(name for name in PARAM_NAMES if name not in STA
 AXIS_KEYS = ("name", "start", "stop", "points")
 # the config's top-level keys, in the order --dump-config writes them
 SECTIONS = ("params", "input_state", "sweep", "optimize", "figure", "output", "format")
-
-# one flag per parameter, in --help order
-FLAG_HELP = {
-    "theta": "total pulse action angle (radians)",
-    "chi": "intensity-distribution angle in [0, pi/2]",
-    "phi": "relative phase of the two pulse tones",
-    "gamma_t": "elapsed decay gamma*t (number or \"inf\")",
-    "asym": "decay-rate ratio gamma13/gamma23",
-    "rho11": "input-state population of level 1",
-    "re_rho12": "Re of the input coherence",
-    "im_rho12": "Im of the input coherence",
-}
-
 
 class ConfigError(ValueError):
     """Bad config file or flag combination."""
@@ -185,7 +173,7 @@ def _load_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> dict:
     """The run's config: the config file, or an empty one, with the flags written into it."""
     cfg = _load_file(args.config) if args.config else {"params": {}, "input_state": {}, "format": "csv"}
-    for name in FLAG_HELP:
+    for name in PARAMETERS:
         value = getattr(args, name)
         if value is not None:
             cfg["input_state" if name in STATE_NAMES else "params"][name] = value
@@ -312,8 +300,9 @@ def run_compute(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _run_grid(cfg: dict, spec: SweepSpec) -> int:
-    result = grid_sweep(spec)
+def _run_grid(cfg: dict, axes: tuple[Axis, ...], fixed: dict) -> int:
+    """Evaluate and write the grid over ``axes``, at ``fixed`` overridden by the run's params and input state."""
+    result = grid_sweep(SweepSpec(axes=axes, fixed={**fixed, **_sweep_overrides(cfg)}))
     _emit(format_grid_json(result) if cfg["format"] == "json" else format_csv(result), cfg.get("output"))
     return EXIT_OK
 
@@ -322,15 +311,14 @@ def run_sweep(cfg: dict) -> int:
     sweep = cfg.get("sweep")
     if not (sweep and sweep["axes"]):
         raise ConfigError("sweep requires a config file with a sweep.axes list")
-    axes = tuple(Axis(**axis) for axis in sweep["axes"])
-    return _run_grid(cfg, SweepSpec(axes=axes, fixed={**sweep["fixed"], **_sweep_overrides(cfg)}))
+    return _run_grid(cfg, tuple(Axis(**axis) for axis in sweep["axes"]), sweep["fixed"])
 
 
 def run_figure(cfg: dict) -> int:
     if not cfg.get("figure"):
         raise ConfigError("figure requires an id (--figure or config key \"figure\")")
     preset = figure_preset(cfg["figure"])
-    return _run_grid(cfg, SweepSpec(axes=preset.axes, fixed={**preset.fixed, **_sweep_overrides(cfg)}))
+    return _run_grid(cfg, preset.axes, preset.fixed)
 
 
 def _optimum_report(best: Optimum) -> str:
@@ -386,7 +374,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="write the report/grid to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), help="grid output format (default csv)")
-        for param, param_help in FLAG_HELP.items():
+        for param, (_, param_help) in PARAMETERS.items():
             p.add_argument("--" + param.replace("_", "-"), type=float, help=param_help)
         p.add_argument("--dump-config", help="write the merged effective config to this path")
         if name == "figure":

@@ -3,10 +3,11 @@
 A sweep point is a full assignment of the model parameters: pulse angles
 (theta, chi, phi), elapsed decay gamma_t, the branching asymmetry ``asym``
 (the ratio of the 3->1 and 3->2 decay rates), and the input-state
-parameters (rho11, re_rho12, im_rho12).  Axes pick which of these vary;
-everything else comes from ``fixed`` or from the defaults below.  The input
-state is ``qubit_state(rho11, re_rho12, im_rho12)``; the defaults give the
-maximally mixed state.
+parameters (rho11, re_rho12, im_rho12).  ``PARAMETERS`` below is the one
+list of them, with each default and its command-line help.  Axes pick which
+of these vary; everything else comes from ``fixed`` or from the defaults.
+The input state is ``qubit_state(rho11, re_rho12, im_rho12)``; the defaults
+give the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,17 +24,19 @@ from scipy.optimize import OptimizeResult
 from .channel import DensityMatrix, NotDensityMatrix, _coherence, density_mask, qubit_state
 from .lambda_system import LambdaParams, coherent_information_batch, params_mask
 
-DEFAULTS: dict[str, float] = {
-    "theta": math.pi,
-    "chi": math.pi / 2,
-    "phi": 0.0,
-    "gamma_t": math.inf,
-    "asym": 1.0,
-    "rho11": 0.5,
-    "re_rho12": 0.0,
-    "im_rho12": 0.0,
+# each parameter's default and --help text, in flag order, the input state last
+PARAMETERS: dict[str, tuple[float, str]] = {
+    "theta": (math.pi, "total pulse action angle (radians)"),
+    "chi": (math.pi / 2, "intensity-distribution angle in [0, pi/2]"),
+    "phi": (0.0, "relative phase of the two pulse tones"),
+    "gamma_t": (math.inf, "elapsed decay gamma*t (number or \"inf\")"),
+    "asym": (1.0, "decay-rate ratio gamma13/gamma23"),
+    "rho11": (0.5, "input-state population of level 1"),
+    "re_rho12": (0.0, "Re of the input coherence"),
+    "im_rho12": (0.0, "Im of the input coherence"),
 }
-PARAM_NAMES = tuple(DEFAULTS)
+DEFAULTS: dict[str, float] = {name: default for name, (default, _) in PARAMETERS.items()}
+PARAM_NAMES = tuple(PARAMETERS)
 STATE_NAMES = ("rho11", "re_rho12", "im_rho12")
 
 MAX_FREE = 4
@@ -285,12 +289,13 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
-    def score(assignment: Mapping[str, float]) -> float:
-        here = {**base, **assignment}
+    def score(x: Sequence[float]) -> float:
+        # I_c with the active parameters at x; on Python floats the rule checks are plain float comparisons
+        here = {**base, **dict(zip(active, x))}
         return float(_block_ic(here)) if _valid(here) else -math.inf
 
     if not active:
-        value = score({})
+        value = score([])
         if value == -math.inf:
             at = ", ".join(f"{name}={pinned[name]:g}" for name in free)
             raise InvalidSpec(f"every free parameter is pinned, at the unphysical point {at}")
@@ -304,11 +309,7 @@ def maximize_ic(
     at = np.unravel_index(best, (COARSE_POINTS,) * len(active))
     seed = [float(axis[i]) for axis, i in zip(coarse_axes, at)]
 
-    def objective(x: list[float]) -> float:
-        # Python floats: score's rule checks run as plain float comparisons
-        return -score(dict(zip(active, x)))
-
-    result = minimize(objective, seed, [bounds[name] for name in active])
+    result = minimize(lambda x: -score(x), seed, [bounds[name] for name in active])
     point = dict(pinned)
     point.update({name: float(v) for name, v in zip(active, result.x)})
     best = Optimum(point=point, value=-float(result.fun), iterations=int(result.nit))
@@ -329,16 +330,18 @@ def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> O
     and maxfev = 4 MAX_ITERATIONS, step for step: scipy's coefficients and
     initial simplex, reflected into the box at the upper bound and clipped;
     every trial point clipped as ``np.clip`` clips; the same stops, an
-    exhausted evaluation budget also in the middle of an iteration; tied
-    vertices keep their order, as under a stable ``np.argsort``.  The
-    vertices are lists of floats, and ``f`` takes one such list.  Returns
-    scipy's ``OptimizeResult`` with ``x``, ``fun``, ``nit``, ``nfev`` and
-    ``success``.
+    exhausted evaluation budget also in the middle of an iteration.  The
+    simplex is one list of (value, vertex) pairs, each vertex a list of
+    floats, and ``f`` takes one such list.  The list is sorted on the value
+    alone, and the sort is stable: tied vertices keep their order, as under a
+    stable ``np.argsort``.  Returns scipy's ``OptimizeResult`` with ``x``,
+    ``fun``, ``nit``, ``nfev`` and ``success``.
     """
     maxiter, maxfev = MAX_ITERATIONS, 4 * MAX_ITERATIONS
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     n = len(bounds)
     nfev = 0
+    by_value = itemgetter(0)
 
     def clip(x: list[float]) -> list[float]:
         # np.clip's rule: max(x, lo) then min(., hi), each keeping the bound at a tie
@@ -348,90 +351,72 @@ def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> O
             out.append(hi if v >= hi else v)
         return out
 
-    def evaluate(x: list[float]) -> float:
+    def evaluated(x: list[float]) -> tuple[float, list[float]]:
         nonlocal nfev
         if nfev >= maxfev:
             raise _OutOfEvaluations
         nfev += 1
-        return float(f(x))
+        return float(f(x)), x
 
+    # maximize_ic passes at most MAX_FREE coordinates, so the first n + 1 evaluations fit in the cap
     start = clip([float(v) for v in x0])
-    sim = [start]
+    simplex = [evaluated(start)]
     for k in range(n):
         vertex = list(start)
         vertex[k] = (1 + NONZERO_STEP) * vertex[k] if vertex[k] != 0 else ZERO_STEP
-        sim.append(vertex)
-    # a step past the upper bound is reflected back into the box
-    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(vertex, bounds)]) for vertex in sim]
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
-    except _OutOfEvaluations:
-        pass
-    sim, fsim = _ascending(sim, fsim)
+        # a step past the upper bound is reflected back into the box
+        simplex.append(evaluated(clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(vertex, bounds)])))
+    simplex.sort(key=by_value)
 
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
         try:
-            best = sim[0]
-            if all(abs(v - b) <= SIMPLEX_TOL for vertex in sim[1:] for v, b in zip(vertex, best)) and all(
-                abs(fsim[0] - value) <= SIMPLEX_TOL for value in fsim[1:]
+            (f_best, best), (f_worst, worst) = simplex[0], simplex[-1]
+            if all(abs(v - b) <= SIMPLEX_TOL for _, vertex in simplex[1:] for v, b in zip(vertex, best)) and all(
+                abs(f_best - f_vertex) <= SIMPLEX_TOL for f_vertex, _ in simplex[1:]
             ):
                 break
-            total = sim[0]
-            for vertex in sim[1:-1]:
+            total = best
+            for _, vertex in simplex[1:-1]:
                 total = [t + v for t, v in zip(total, vertex)]
             centroid = [t / n for t in total]
-            worst = sim[-1]
 
-            def toward(t: float) -> list[float]:
-                # the point (1 + t) centroid - t worst, in scipy's arithmetic
-                return clip([(1 + t) * c - t * w for c, w in zip(centroid, worst)])
+            def toward(t: float) -> tuple[float, list[float]]:
+                # the point (1 + t) centroid - t worst, in scipy's arithmetic, evaluated
+                return evaluated(clip([(1 + t) * c - t * w for c, w in zip(centroid, worst)]))
 
             reflected = toward(REFLECT)
-            f_reflected = evaluate(reflected)
             shrink = False
-            if f_reflected < fsim[0]:
+            if reflected[0] < f_best:
                 expanded = toward(REFLECT * EXPAND)
-                f_expanded = evaluate(expanded)
-                if f_expanded < f_reflected:
-                    sim[-1], fsim[-1] = expanded, f_expanded
-                else:
-                    sim[-1], fsim[-1] = reflected, f_reflected
-            elif f_reflected < fsim[-2]:
-                sim[-1], fsim[-1] = reflected, f_reflected
-            elif f_reflected < fsim[-1]:
+                simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
+            elif reflected[0] < simplex[-2][0]:
+                simplex[-1] = reflected
+            elif reflected[0] < f_worst:
                 contracted = toward(CONTRACT * REFLECT)
-                f_contracted = evaluate(contracted)
-                if f_contracted <= f_reflected:
-                    sim[-1], fsim[-1] = contracted, f_contracted
+                if contracted[0] <= reflected[0]:
+                    simplex[-1] = contracted
                 else:
                     shrink = True
             else:
                 contracted = toward(-CONTRACT)
-                f_contracted = evaluate(contracted)
-                if f_contracted < fsim[-1]:
-                    sim[-1], fsim[-1] = contracted, f_contracted
+                if contracted[0] < f_worst:
+                    simplex[-1] = contracted
                 else:
                     shrink = True
             if shrink:
+                # vertex 0 stays.  A cap met here leaves the vertices not yet shrunk as they were, where scipy
+                # pairs one new vertex with its old value, no lower than vertex 0's: the results agree
                 for j in range(1, n + 1):
-                    sim[j] = clip([b + SHRINK * (v - b) for b, v in zip(best, sim[j])])
-                    fsim[j] = evaluate(sim[j])
+                    simplex[j] = evaluated(clip([b + SHRINK * (v - b) for b, v in zip(best, simplex[j][1])]))
             iterations += 1
         except _OutOfEvaluations:
             pass
-        sim, fsim = _ascending(sim, fsim)
+        simplex.sort(key=by_value)
 
     success = nfev < maxfev and iterations < maxiter
-    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nit=iterations, nfev=nfev, success=success)
-
-
-def _ascending(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
-    """The vertices and their values in ascending value; tied vertices keep their order."""
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    f_best, best = simplex[0]
+    return OptimizeResult(x=np.array(best), fun=f_best, nit=iterations, nfev=nfev, success=success)
 
 
 # the figure presets, id -> (axes, fixed); every grid is 41x41

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import math
 import sys
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from lambda_capacity import sweep
-from lambda_capacity.channel import DENSITY_MESSAGES, NotDensityMatrix, _coherence, _density_checks
-from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle
+from lambda_capacity import cli, sweep
+from lambda_capacity.channel import DENSITY_MESSAGES, NotDensityMatrix, _coherence, _density_checks, qubit_state
+from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle, LambdaParams
 from lambda_capacity.sweep import (
     Axis,
     DEFAULTS,
     FIGURES,
+    PARAMETERS,
     STATE_NAMES,
     InvalidSpec,
     InvalidStateAtPoint,
@@ -487,8 +489,13 @@ def test_simplex_stops_as_scipys_at_the_caps(monkeypatch):
     # every step of a 4-D plateau shrinks, at 6 evaluations: the 12-evaluation cap
     # stops the second iteration in its middle
     x0 = [0.1, 0.2, 0.3, 0.4]
-    result = _same_search(minimize, lambda x: 0.0 if list(x) == x0 else math.inf, x0, [(0.0, 1.0)] * 4)
+    plateau = (lambda x: 0.0 if list(x) == x0 else math.inf, x0, [(0.0, 1.0)] * 4)
+    result = _same_search(minimize, *plateau)
     assert (result.nfev, result.nit, result.success) == (12, 2, False)
+    # the 16-evaluation cap stops the second iteration in its shrink, after 3 of its 4 evaluations
+    monkeypatch.setattr(sweep, "MAX_ITERATIONS", 4)
+    result = _same_search(minimize, *plateau)
+    assert (result.nfev, result.nit, result.success) == (16, 2, False)
 
 
 # ------------------------------------------------------------------ presets
@@ -540,3 +547,20 @@ def test_defaults_cover_every_parameter():
     assert set(DEFAULTS) == {
         "theta", "chi", "phi", "gamma_t", "rho11", "re_rho12", "im_rho12", "asym",
     }
+    # PARAMETERS is the one list: the defaults, the flags and the config keys follow it, the state last
+    assert list(DEFAULTS) == list(PARAMETERS) == list(sweep.PARAM_NAMES)
+    assert tuple(PARAMETERS)[5:] == STATE_NAMES
+    assert cli.CHANNEL_KEYS == cli.RATE_KEYS + tuple(PARAMETERS)[:5]
+    parser = cli._make_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(cli.COMMANDS)
+    want = [(["--" + name.replace("_", "-")], name, text) for name, (_, text) in PARAMETERS.items()]
+    for command in commands.values():
+        flags = [(a.option_strings, a.dest, a.help) for a in command._actions if a.dest in PARAMETERS]
+        assert flags == want
+    # the two other sources of a default agree with the table
+    params = LambdaParams()
+    assert (params.theta, params.chi, params.phi, params.gamma_t) == tuple(DEFAULTS[k] for k in PARAMETERS)[:4]
+    assert params.gamma13 / params.gamma23 == DEFAULTS["asym"]
+    rho = qubit_state(*(DEFAULTS[name] for name in STATE_NAMES))
+    assert np.array_equal(rho.matrix, np.diag([0.5, 0.5]))
