@@ -21,8 +21,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .channel import NotDensityMatrix, validate_channel
-from .lambda_system import InvalidAlphas, InvalidAngle, _spectra, channel_map
+from .lambda_system import InvalidAlphas, InvalidAngle, _hermitian3, _states, channel_map
 from .linalg import NegativeProbability, NotNormalized, entropy_bits
 from .sweep import (
     DEFAULTS,
@@ -280,7 +282,9 @@ def _aligned(rows, width: int) -> str:
 def run_compute(cfg: dict) -> int:
     params, rho = _point_objects(_point(cfg))
     (r11, r12), (_, r22) = rho.matrix.tolist()
-    spectra = _spectra(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, r11.real, r22.real, r12)
+    states = _states(params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, r11.real, r22.real, r12)
+    # the printed spectra come from LAPACK: at a double eigenvalue the closed form is off by about sqrt(eps)
+    spectra = np.linalg.eigvalsh(_hermitian3((2,), *(np.array(pair) for pair in zip(*states))), UPLO="U")
     s_out, s_e = entropy_bits(spectra).tolist()
     # (text label, JSON key, value); the atom purifies field and mirror, so the
     # 6x6 field-mirror state has the atom's spectrum and three zeros

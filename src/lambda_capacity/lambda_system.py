@@ -34,25 +34,30 @@ such as a sweep block, takes both spectra from the trigonometric closed form
 for 3x3 Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)), and LAPACK's
 ``eigvalsh`` only at the points the closed form cannot resolve: a
 near-double eigenvalue pair next to a small eigenvalue.  A call at one
-point, such as ``compute`` and each simplex step, runs the same arithmetic
-on Python floats and sends both states to one LAPACK call.
+point, such as each simplex step, runs the same arithmetic on Python
+floats, entropies included.  It resolves such a point by an exact split
+where a row of the state is decoupled up to roundoff, and calls LAPACK
+only where that fails too (see :func:`_eigvalsh3`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import ChannelMap, DensityMatrix
-from .linalg import entropy_bits
+from .linalg import _float_entropy, entropy_bits
 
-# points that the closed form leaves to LAPACK: 1 - |r| below DEGENERATE_TOL and
+# matrices that the closed form leaves unresolved: 1 - |r| below DEGENERATE_TOL and
 # the smallest eigenvalue below SMALL_EIGENVALUE (see _eigvalsh3)
 DEGENERATE_TOL = 1e-2
 SMALL_EIGENVALUE = 1e-2
+# the unit roundoff scale of the exact split in _eigvalsh3
+EPSILON = math.ulp(1.0)
 
 
 class InvalidAngle(ValueError):
@@ -157,10 +162,11 @@ def _decay(alpha1, gamma_t) -> np.ndarray:
     return v
 
 
-def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray:
+def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray | bool:
     """Elementwise over floats or arrays that broadcast: True where ``LambdaParams`` accepts these values.
 
-    The AND of the rules of PARAM_RULES at delta_R = 0, for callers that validate many points at once.
+    The AND of the rules of PARAM_RULES at delta_R = 0: an array where an
+    argument is an array, a bool on Python numbers.
     """
     point = SimpleNamespace(
         gamma13=gamma13, gamma23=gamma23, theta=theta, chi=chi, phi=phi, gamma_t=gamma_t, delta_R=0.0
@@ -168,7 +174,7 @@ def params_mask(gamma13, gamma23, theta, chi, phi, gamma_t) -> np.ndarray:
     valid = True
     for _, _, holds in PARAM_RULES:
         valid = valid & holds(point)
-    return np.asarray(valid)
+    return valid
 
 
 def channel_map(params: LambdaParams) -> ChannelMap:
@@ -182,47 +188,79 @@ def channel_map(params: LambdaParams) -> ChannelMap:
     return ChannelMap(np.einsum("kam,kbn->mnab", w, w.conj()))
 
 
-def _eigvalsh3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
-    """Ascending eigenvalues ``shape + (3,)`` of the Hermitian 3x3 matrices with these diagonal and upper entries.
+# the functions of _eigvalsh3's closed form: sqrt, cos, arccos of a value clipped to [-1, 1],
+# and r = det / 2p^3, taken as 0 at a triple eigenvalue (p = 0), which has every angle
+_POINT_ROOT_OPS = (math.sqrt, math.cos, lambda r: math.acos(min(max(r, -1.0), 1.0)),
+                   lambda det, cube: det / cube if cube > 0.0 else 0.0)
+_ARRAY_ROOT_OPS = (np.sqrt, np.cos, lambda r: np.arccos(np.clip(r, -1.0, 1.0)),
+                   lambda det, cube: np.divide(det, cube, out=np.zeros(det.shape), where=cube > 0.0))
 
-    The entries broadcast to ``shape``, the shape of the matrices.  By the
-    trigonometric closed form (Smith, Commun. ACM 4, 168 (1961)), with
-    m = tr A / 3, p^2 = tr (A - m)^2 / 6 and r = det(A - m) / (2 p^3) =
-    cos(3 phi), the eigenvalues are m + 2 p cos(phi + 2 pi k / 3).  Near a
-    double eigenvalue, r = +-1, the arccos turns the roundoff of r into an
-    error of about p eps / sqrt(1 - |r|) in the pair (p sqrt(eps) at
-    r = +-1), and an entropy moves by that error times the log of the
-    pair's ratio.  So points with 1 - |r| below DEGENERATE_TOL whose
-    smallest eigenvalue lies below SMALL_EIGENVALUE go through
-    ``np.linalg.eigvalsh``: there the error could make a zero eigenvalue a
-    negative probability, or move an entropy by more than 1e-13.
+
+def _eigvalsh3(a11, a22, a33, a12, a13, a23):
+    """Ascending eigenvalues of the Hermitian 3x3 matrices with these diagonal and upper entries.
+
+    The entries are arrays that broadcast to the shape of the matrices, for
+    an array of that shape plus (3,), or Python numbers for one matrix, for
+    a list of three floats.  By the trigonometric closed form (Smith,
+    Commun. ACM 4, 168 (1961)), with m = tr A / 3, p^2 = tr (A - m)^2 / 6 and
+    r = det(A - m) / (2 p^3) = cos(3 phi), the eigenvalues are
+    m + 2 p cos(phi + 2 pi k / 3).  Near a double eigenvalue, r = +-1, the
+    arccos turns the roundoff of r into an error of about
+    p eps / sqrt(1 - |r|) in the pair (p sqrt(eps) at r = +-1), and an
+    entropy moves by that error times the log of the pair's ratio.  So
+    matrices with 1 - |r| below DEGENERATE_TOL whose smallest eigenvalue
+    lies below SMALL_EIGENVALUE are left unresolved: there the error could
+    make a zero eigenvalue a negative probability, or move an entropy by
+    more than 1e-13.  An array call sends them to ``np.linalg.eigvalsh``.
+
+    A one-matrix call first tries an exact split.  Let k be the row with
+    the smallest off-diagonal norm.  If that norm is at most
+    eps |tr A|, then A differs from the matrix with row and column k's
+    off-diagonal entries set to zero by a perturbation of that 2-norm, so
+    by Weyl's inequality each eigenvalue of A lies within eps |tr A| of one
+    of the split matrix: a_kk, and (p + q)/2 +- hypot((p - q)/2, |h|) of the
+    remaining 2x2 block [[p, h], [h*, q]].  That is LAPACK's own
+    backward-error scale, and only a matrix that fails the split goes to
+    LAPACK.
     """
     trace = a11 + a22 + a33
     m = trace / 3.0
     b11, b22, b33 = a11 - m, a22 - m, a33 - m
-    s12, s13, s23 = ((x * np.conjugate(x)).real for x in (a12, a13, a23))
+    s12, s13, s23 = (a12 * a12.conjugate()).real, (a13 * a13.conjugate()).real, (a23 * a23.conjugate()).real
     p2 = (b11 * b11 + b22 * b22 + b33 * b33) / 6.0 + (s12 + s13 + s23) / 3.0
-    p = np.sqrt(p2)
-    det = b11 * b22 * b33 - b11 * s23 - b22 * s13 - b33 * s12 + 2.0 * (a12 * a23 * np.conjugate(a13)).real
-    # a triple eigenvalue (p = 0) has every angle: take r = 0
-    r = np.divide(det, 2.0 * p * p2, out=np.zeros(shape), where=p2 > 0.0)
-    angle = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    values = np.empty(shape + (3,))
-    values[..., 2] = m + 2.0 * p * np.cos(angle)
-    values[..., 0] = m + 2.0 * p * np.cos(angle + 2.0 * math.pi / 3.0)
-    values[..., 1] = trace - values[..., 0] - values[..., 2]
-    unresolved = (1.0 - np.abs(r) < DEGENERATE_TOL) & (np.abs(values[..., 0]) < SMALL_EIGENVALUE)
-    if unresolved.any():
-        entries = (x[unresolved] for x in np.broadcast_arrays(a11, a22, a33, a12, a13, a23))
-        values[unresolved] = np.linalg.eigvalsh(
-            _hermitian3((np.count_nonzero(unresolved),), *entries), UPLO="U"
-        )
-    return values
+    det = b11 * b22 * b33 - b11 * s23 - b22 * s13 - b33 * s12 + 2.0 * (a12 * a23 * a13.conjugate()).real
+    point = not isinstance(det, np.ndarray)
+    sqrt, cos, arccos, ratio = _POINT_ROOT_OPS if point else _ARRAY_ROOT_OPS
+    p = sqrt(p2)
+    r = ratio(det, 2.0 * p * p2)
+    angle = arccos(r) / 3.0
+    high = m + 2.0 * p * cos(angle)
+    low = m + 2.0 * p * cos(angle + 2.0 * math.pi / 3.0)
+    unresolved = (1.0 - abs(r) < DEGENERATE_TOL) & (abs(low) < SMALL_EIGENVALUE)
+    if not point:
+        values = np.stack([low, trace - low - high, high], axis=-1)
+        if unresolved.any():
+            entries = (x[unresolved] for x in np.broadcast_arrays(a11, a22, a33, a12, a13, a23))
+            values[unresolved] = np.linalg.eigvalsh(
+                _hermitian3((np.count_nonzero(unresolved),), *entries), UPLO="U"
+            )
+        return values
+    if not unresolved:
+        return [low, trace - low - high, high]
+    # the row with the smallest off-diagonal norm: (squared norm, diagonal entry, remaining 2x2 block p, q, h)
+    norm2, diagonal, p, q, h = min(
+        ((s12 + s13, a11, a22, a33, a23), (s12 + s23, a22, a11, a33, a13), (s13 + s23, a33, a11, a22, a12)),
+        key=itemgetter(0),
+    )
+    if math.sqrt(norm2) <= EPSILON * abs(trace):
+        mean, half = 0.5 * (p + q), math.hypot(0.5 * (p - q), abs(h))
+        return sorted((diagonal, mean - half, mean + half))
+    return np.linalg.eigvalsh(_hermitian3((), a11, a22, a33, a12, a13, a23), UPLO="U").tolist()
 
 
 def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
     """The matrices ``shape + (3, 3)`` with these diagonal and upper entries, of a12's dtype; the lower triangle stays zero."""
-    matrix = np.zeros(shape + (3, 3), dtype=a12.dtype)
+    matrix = np.zeros(shape + (3, 3), dtype=np.result_type(a12))
     matrix[..., 0, 0] = a11
     matrix[..., 1, 1] = a22
     matrix[..., 2, 2] = a33
@@ -232,25 +270,22 @@ def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
     return matrix
 
 
-# the functions of _spectra's arithmetic, cis(x) = e^{ix} first: on Python floats for
+# the functions of _states' arithmetic, cis(x) = e^{ix} first: on Python floats for
 # one point (math only: cmath is an extension module, which adds to every process's
 # resident memory), on arrays otherwise
 _POINT_OPS = (lambda x: complex(math.cos(x), math.sin(x)), math.sin, math.cos, math.exp, math.expm1, math.sqrt, abs)
 _ARRAY_OPS = (lambda x: np.exp(1j * x), np.sin, np.cos, np.exp, np.expm1, np.sqrt, np.abs)
 
 
-def _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray:
-    """The field and atom spectra at many points, stacked: shape (2, ..., 3), each ascending.
+def _states(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> tuple[tuple, tuple]:
+    """The field and atom states at many points, each as its six diagonal and upper entries.
 
     Takes the arguments of :func:`coherent_information_batch`, unvalidated;
-    ``...`` is the shape of the points.  Works from G = U rho U^dag, the
-    atom state right after the pulse; see the module docstring.  Each state
-    goes to :func:`_eigvalsh3` as its six diagonal and upper entries: the
-    closed form, with LAPACK at the points it cannot resolve.  One point
-    (no argument an array) runs the same arithmetic on Python floats, with
-    both states in one LAPACK call.
+    the entries are arrays of the points' shape, or Python numbers when no
+    argument is an array.  Works from G = U rho U^dag, the atom state right
+    after the pulse; see the module docstring.
     """
-    point = not any(isinstance(x, np.ndarray) for x in (theta, chi, phi, gamma_t, alpha1, r11, r22, r12))
+    point = not any([isinstance(x, np.ndarray) for x in (theta, chi, phi, gamma_t, alpha1, r11, r22, r12)])
     cis, sin, cos, exp, expm1, sqrt, magnitude_of = _POINT_OPS if point else _ARRAY_OPS
     # bright state b = (b1, b2); b2 is real
     b1 = cis(-phi) * sin(chi)
@@ -280,26 +315,27 @@ def _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray:
     e1, e2, kept = to1 * g33, to2 * g33, survive * survive * g33
     magnitude = magnitude_of(sine)
     scale = 1j * sine * survive
-    # each state as its diagonal and upper entries
     field = (g11 + g22 + kept, e1, e2,
              sqrt(to1) * magnitude * magnitude_of(d1), sqrt(to2) * magnitude * magnitude_of(d2), 0.0)
     atom = (g11 + e1, g22 + e2, kept, g12, scale * d1, scale * d2)
-    if point:
-        matrices = np.array(_upper3(*field) + _upper3(*atom), dtype=complex).reshape(2, 3, 3)
-        return np.linalg.eigvalsh(matrices, UPLO="U")
-    shape = np.shape(e1)
-    spectra = np.empty((2,) + shape + (3,))
-    spectra[0] = _eigvalsh3(shape, *field)
-    spectra[1] = _eigvalsh3(shape, *atom)
-    return spectra
+    return field, atom
 
 
-def _upper3(a11, a22, a33, a12, a13, a23) -> list:
-    """The row-major entries of the 3x3 matrix with these diagonal and upper entries; the lower triangle is zero."""
-    return [a11, a12, a13, 0.0, a22, a23, 0.0, 0.0, a33]
+def _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12):
+    """The field and atom spectra, each ascending, from :func:`_eigvalsh3`.
+
+    Takes the arguments of :func:`coherent_information_batch`, unvalidated.
+    Over arrays it returns one array of shape (2, ..., 3), ``...`` the shape
+    of the points; at one point (no argument an array) a pair of lists of
+    three Python floats, computed without numpy unless a state defeats both
+    the closed form and the exact split.
+    """
+    field, atom = _states(theta, chi, phi, gamma_t, alpha1, r11, r22, r12)
+    spectra = [_eigvalsh3(*field), _eigvalsh3(*atom)]
+    return spectra if isinstance(spectra[0], list) else np.stack(spectra)
 
 
-def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray:
+def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray | float:
     """Coherent information in bits at many parameter points at once.
 
     ``theta, chi, phi, gamma_t, alpha1`` and the input state's entries
@@ -307,9 +343,16 @@ def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) 
     that broadcast to the shape of the points, such as (N,), or numbers
     shared by every point.  The inputs are not validated: callers check
     them first (:func:`params_mask`, ``channel.density_mask``).  Returns
-    S(field) - S(atom), one per point.
+    S(field) - S(atom), one per point: an array, or a float when no
+    argument is an array.
     """
-    entropy = entropy_bits(_spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12))
+    spectra = _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12)
+    if isinstance(spectra, list):  # one point, in Python floats
+        field, atom = _float_entropy(spectra[0]), _float_entropy(spectra[1])
+        if field is not None and atom is not None:
+            return field - atom
+        spectra = np.array(spectra)  # entropy_bits words the error
+    entropy = entropy_bits(spectra)
     return entropy[0] - entropy[1]
 
 

@@ -1,8 +1,10 @@
 """Entropy of a probability spectrum in bits.
 
-The evaluator's two 3x3 spectra go through :func:`entropy_bits`, which
-refuses a vector that is not a probability distribution up to roundoff.
-Small stacks, such as one point's two spectra, are summed in Python floats.
+:func:`entropy_bits` takes the evaluator's spectra over arrays, and refuses
+a vector that is not a probability distribution up to roundoff.  One
+point's two spectra, three Python floats each, go to :func:`_float_entropy`,
+which runs the same checks in Python floats and leaves the wording of an
+error to :func:`entropy_bits`.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ import numpy as np
 
 PROBABILITY_CLAMP = 1e-10
 NORMALIZATION_TOL = 1e-8
-# stacks of at most this many entries, such as the two spectra (6 entries) of a
-# one-point call, are summed in Python floats: up to about 25 entries that is
-# cheaper than numpy's fixed cost per call
-FLOAT_ENTRIES = 16
 
 
 class NegativeProbability(ValueError):
@@ -39,12 +37,6 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
     """
     p = np.asarray(probabilities, dtype=float)
     rows = np.atleast_2d(p) if p.ndim <= 2 else p.reshape(-1, p.shape[-1])
-    if rows.size <= FLOAT_ENTRIES:
-        # a stack that fails a check goes on to the checks below, which word the error
-        floats = [_float_entropy(row) for row in rows.tolist()]
-        if None not in floats:
-            entropy = np.array(floats, dtype=float)
-            return float(entropy[0]) if p.ndim <= 1 else entropy.reshape(p.shape[:-1])
     # one min and one max over the whole stack find NaN, Inf and negative
     # entries; only a failed check looks for the first bad vector
     lowest, highest = rows.min(initial=0.0), rows.max(initial=0.0)
@@ -69,11 +61,14 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
 
 
 def _float_entropy(row: list[float]) -> float | None:
-    """The entropy of one vector in Python floats, or None if it fails a check of :func:`entropy_bits`."""
-    if not all(-PROBABILITY_CLAMP <= x < math.inf for x in row):
+    """The entropy of one vector of Python floats, or None if it fails a check of :func:`entropy_bits`."""
+    total = entropy = 0.0
+    for x in row:
+        if not -PROBABILITY_CLAMP <= x < math.inf:
+            return None
+        if x > 0.0:  # entries in [-1e-10, 0] count as 0
+            total += x
+            entropy -= x * math.log2(x)
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         return None
-    positive = [x for x in row if x > 0.0]  # entries in [-1e-10, 0] count as 0
-    if not abs(sum(positive) - 1.0) <= NORMALIZATION_TOL:
-        return None
-    entropy = -sum(x * math.log2(x) for x in positive)
     return entropy if entropy > 0.0 else 0.0

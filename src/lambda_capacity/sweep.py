@@ -163,14 +163,23 @@ def _point_objects(point: Mapping[str, float]) -> tuple[LambdaParams, DensityMat
     return params, qubit_state(point["rho11"], point["re_rho12"], point["im_rho12"])
 
 
+def _params_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | bool:
+    """True where ``LambdaParams`` accepts the point: elementwise over columns of arrays."""
+    return params_mask(columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"])
+
+
+def _state_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | bool:
+    """True where ``qubit_state`` accepts the point: elementwise over columns of arrays."""
+    return density_mask(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+
+
 def _valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | bool:
     """True where ``LambdaParams`` and ``qubit_state`` accept the point: elementwise over columns of arrays.
 
-    The one validity rule of grid blocks and simplex steps alike.
+    The validity rule of grid blocks; a simplex step applies its two parts
+    itself (see :func:`maximize_ic`).
     """
-    return params_mask(
-        columns["asym"], 1.0, columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"]
-    ) & density_mask(columns["rho11"], columns["re_rho12"], columns["im_rho12"])
+    return _params_valid(columns) & _state_valid(columns)
 
 
 def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
@@ -289,10 +298,16 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
+    # a search that moves no input-state parameter checks the state once
+    state_free = any(name in STATE_NAMES for name in active)
+    state_valid = state_free or _state_valid(base)
+
     def score(x: Sequence[float]) -> float:
         # I_c with the active parameters at x; on Python floats the rule checks are plain float comparisons
         here = {**base, **dict(zip(active, x))}
-        return float(_block_ic(here)) if _valid(here) else -math.inf
+        if state_valid and _params_valid(here) and (not state_free or _state_valid(here)):
+            return float(_block_ic(here))
+        return -math.inf
 
     if not active:
         value = score([])

@@ -297,12 +297,118 @@ def test_one_point_route_matches_purification_at_edges(monkeypatch, fields, stat
     params = LambdaParams(**{"gamma13": 0.6, "theta": 1.9, "chi": 0.4, "phi": 0.7, "gamma_t": 1.3, **fields})
     rho = qubit_state(*state)
 
-    def batched(*args):
-        raise AssertionError("a one-point call took the batched spectra")
+    def point_only(*entries):
+        assert not any(isinstance(x, np.ndarray) for x in entries), "a one-point call took the array route"
+        return _eigvalsh3(*entries)
 
-    monkeypatch.setattr(lambda_system, "_eigvalsh3", batched)
+    monkeypatch.setattr(lambda_system, "_eigvalsh3", point_only)
     ic = coherent_information_at(params, rho)
     assert abs(ic - coherent_information(channel_map(params), rho)) <= 1e-12
+
+
+# the optimum of the benchmark's theta,chi,asym,rho11 problem at seed 501: the atom state has a
+# row that is zero up to roundoff, next to the eigenvalues 0 and 0.00114
+FOUR_PARAMETER_OPTIMUM = (3.1415926490136785, math.pi / 2, -2.1858286574326256, 6.0790643606831125, 0.0,
+                          0.49724989342717174, 0.0)
+
+
+def test_one_point_and_array_routes_agree_at_edges():
+    rng = np.random.default_rng(2113)
+    n = 1500
+
+    def column(edges, low, high):
+        values = rng.uniform(low, high, n)
+        at_edge = rng.random(n) < 0.6
+        values[at_edge] = rng.choice(edges, int(at_edge.sum()))
+        return values
+
+    # (theta, chi, phi, gamma_t, asym, rho11, radius), radius 1 being a pure input
+    points = np.array([
+        column([0.0, math.pi, 2.0 * math.pi], 0.0, 2.0 * math.pi),
+        column([0.0, math.pi / 2], 0.0, math.pi / 2),
+        column([0.0], -math.pi, math.pi),
+        column([0.0, math.inf], 0.0, 10.0),
+        column([0.0], 0.0, 3.0),
+        column([0.0, 1.0], 0.0, 1.0),
+        column([0.0, 1.0], 0.0, 1.0),
+    ]).T.tolist()
+    # the field state has the double eigenvalue 0.216166 at chi = 0.7; and the optimum above, with
+    # neighbours as a simplex meets them
+    for step in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+        points.append([math.pi, 0.7 + step, 0.0, 2.0, 1.0, 0.5, 0.0])
+        theta, chi, *rest = FOUR_PARAMETER_OPTIMUM
+        points += [[theta + step, chi, *rest], [theta, chi - step, *rest], [theta - step, chi - step, *rest]]
+    arguments = []
+    for theta, chi, phi, gamma_t, asym, rho11, radius in points:
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        rho12 = complex(radius * math.cos(angle), radius * math.sin(angle)) * math.sqrt(rho11 * (1.0 - rho11))
+        arguments.append((theta, chi, phi, gamma_t, asym / (asym + 1.0), rho11, 1.0 - rho11, rho12))
+
+    single = [coherent_information_batch(*point) for point in arguments]
+    assert all(type(value) is float for value in single)
+    values = coherent_information_batch(*(np.array(column) for column in zip(*arguments)))
+    assert np.abs(values - single).max() <= 1e-13
+
+
+def _spied_eigvalsh(monkeypatch):
+    """Record the shape of every matrix stack that reaches LAPACK's eigvalsh; returns the list of shapes."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrices, *args, **kwargs):
+        shapes.append(np.shape(matrices))
+        return eigvalsh(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
+    rng = np.random.default_rng(2114)
+    eps = np.finfo(float).eps
+
+    def matrix(row, diagonal, pair, coupling):
+        """A 3x3 Hermitian matrix: ``diagonal`` at ``row``, a rotated 2x2 block with eigenvalues ``pair``,
+        and off-diagonal entries of norm ``coupling`` in ``row``."""
+        angle, phase = rng.uniform(0.3, 1.2), rng.uniform(0.0, 2.0 * math.pi)
+        rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        rotation = rotation * np.array([1.0, np.exp(1j * phase)])[:, None]
+        a = np.zeros((3, 3), dtype=complex)
+        others = [k for k in range(3) if k != row]
+        a[np.ix_(others, others)] = rotation @ np.diag(pair) @ rotation.conj().T
+        a[row, row] = diagonal
+        weights = rng.uniform(0.2, 1.0, 2)
+        links = coupling * weights / np.linalg.norm(weights) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
+        a[row, others], a[others, row] = links, links.conj()
+        return a
+
+    def entries(a):
+        return (*(float(a[k, k].real) for k in range(3)), complex(a[0, 1]), complex(a[0, 2]), complex(a[1, 2]))
+
+    cases = []
+    for i in range(60):
+        small = rng.uniform(0.0, 0.004)
+        # each eigenvalue of the near-double pair {0, small}, or the large one, in the decoupled row
+        spectrum = [0.0, small, 1.0 - small]
+        diagonal = spectrum.pop(i % 3)
+        cases.append(matrix(i % 3, diagonal, spectrum, rng.uniform(0.0, 0.9) * eps))
+    shapes = _spied_eigvalsh(monkeypatch)
+    # the closed form leaves every case unresolved: the array route sends all of them to LAPACK
+    _eigvalsh3(*(np.array(column) for column in zip(*map(entries, cases))))
+    assert shapes == [(len(cases), 3, 3)]
+    shapes.clear()
+    for a in cases:
+        split = _eigvalsh3(*entries(a))
+        assert type(split) is list and all(type(x) is float for x in split)
+        trace = abs(np.trace(a).real)
+        assert np.abs(np.array(split) - np.linalg.eigvalsh(a)).max() <= 4.0 * eps * trace
+    assert len(shapes) == len(cases)  # the reference calls alone
+
+    # a row coupled just above eps |trace| goes to LAPACK
+    shapes.clear()
+    coupled = matrix(0, 0.0, [0.002, 0.998], 1.01 * eps)
+    assert _eigvalsh3(*entries(coupled)) == np.linalg.eigvalsh(coupled, UPLO="U").tolist()
+    assert shapes == [(3, 3), (3, 3)]
 
 
 def test_evaluator_matches_independent_reference_for_general_pulses():
@@ -378,4 +484,4 @@ def test_closed_form_spectra_match_lapack_at_edges():
 
     # a triple eigenvalue leaves the closed form's angle undefined
     third, zero = np.full(n, 1.0 / 3.0), np.zeros(n)
-    assert np.abs(_eigvalsh3((n,), third, third, third, zero, zero, zero) - 1.0 / 3.0).max() <= 1e-15
+    assert np.abs(_eigvalsh3(third, third, third, zero, zero, zero) - 1.0 / 3.0).max() <= 1e-15
