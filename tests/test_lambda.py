@@ -306,12 +306,6 @@ def test_one_point_route_matches_purification_at_edges(monkeypatch, fields, stat
     assert abs(ic - coherent_information(channel_map(params), rho)) <= 1e-12
 
 
-# the optimum of the benchmark's theta,chi,asym,rho11 problem at seed 501: the atom state has a
-# row that is zero up to roundoff, next to the eigenvalues 0 and 0.00114
-FOUR_PARAMETER_OPTIMUM = (3.1415926490136785, math.pi / 2, -2.1858286574326256, 6.0790643606831125, 0.0,
-                          0.49724989342717174, 0.0)
-
-
 def test_one_point_and_array_routes_agree_at_edges():
     rng = np.random.default_rng(2113)
     n = 1500
@@ -332,11 +326,13 @@ def test_one_point_and_array_routes_agree_at_edges():
         column([0.0, 1.0], 0.0, 1.0),
         column([0.0, 1.0], 0.0, 1.0),
     ]).T.tolist()
-    # the field state has the double eigenvalue 0.216166 at chi = 0.7; and the optimum above, with
-    # neighbours as a simplex meets them
+    # the field state has the double eigenvalue 0.216166 at chi = 0.7.  The optimum of the benchmark's
+    # theta,chi,asym,rho11 problem at seed 501 has an atom state with a row that is zero up to roundoff,
+    # next to the eigenvalues 0 and 0.00114; its neighbours are points a simplex meets
+    theta, chi, *rest = (3.1415926490136785, math.pi / 2, -2.1858286574326256, 6.0790643606831125, 0.0,
+                         0.49724989342717174, 0.0)
     for step in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
         points.append([math.pi, 0.7 + step, 0.0, 2.0, 1.0, 0.5, 0.0])
-        theta, chi, *rest = FOUR_PARAMETER_OPTIMUM
         points += [[theta + step, chi, *rest], [theta, chi - step, *rest], [theta - step, chi - step, *rest]]
     arguments = []
     for theta, chi, phi, gamma_t, asym, rho11, radius in points:
@@ -348,19 +344,6 @@ def test_one_point_and_array_routes_agree_at_edges():
     assert all(type(value) is float for value in single)
     values = coherent_information_batch(*(np.array(column) for column in zip(*arguments)))
     assert np.abs(values - single).max() <= 1e-13
-
-
-def _spied_eigvalsh(monkeypatch):
-    """Record the shape of every matrix stack that reaches LAPACK's eigvalsh; returns the list of shapes."""
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def spy(matrices, *args, **kwargs):
-        shapes.append(np.shape(matrices))
-        return eigvalsh(matrices, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return shapes
 
 
 def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
@@ -388,11 +371,20 @@ def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
     cases = []
     for i in range(60):
         small = rng.uniform(0.0, 0.004)
-        # each eigenvalue of the near-double pair {0, small}, or the large one, in the decoupled row
+        # each row decoupled, holding each eigenvalue in turn: one of the near-double pair {0, small},
+        # or the large one
         spectrum = [0.0, small, 1.0 - small]
-        diagonal = spectrum.pop(i % 3)
+        diagonal = spectrum.pop(i // 3 % 3)
         cases.append(matrix(i % 3, diagonal, spectrum, rng.uniform(0.0, 0.9) * eps))
-    shapes = _spied_eigvalsh(monkeypatch)
+    # the shape of every matrix stack that reaches LAPACK
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrices, *args, **kwargs):
+        shapes.append(np.shape(matrices))
+        return eigvalsh(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     # the closed form leaves every case unresolved: the array route sends all of them to LAPACK
     _eigvalsh3(*(np.array(column) for column in zip(*map(entries, cases))))
     assert shapes == [(len(cases), 3, 3)]
