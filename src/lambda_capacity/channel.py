@@ -113,9 +113,12 @@ def _coherence(re_rho12, im_rho12):
 
 
 def density_mask(rho11, re_rho12, im_rho12):
-    """True where :func:`qubit_state` accepts these numbers, by :class:`DensityMatrix`'s checks; elementwise over arrays."""
+    """True where :func:`qubit_state` accepts these numbers, by :class:`DensityMatrix`'s checks.
+
+    Elementwise when any argument is an array, a number then being shared by every state.
+    """
     rho12 = _coherence(re_rho12, im_rho12)
-    if not isinstance(rho12, np.ndarray):
+    if not (isinstance(rho11, np.ndarray) or isinstance(rho12, np.ndarray)):
         return all(passes for passes, _ in _density_checks(rho11, rho12, rho12.conjugate(), 1.0 - rho11))
     # neither an overflow to inf nor a rejected NaN entry may warn
     with np.errstate(over="ignore", invalid="ignore"):

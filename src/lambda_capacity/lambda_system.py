@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -247,11 +246,12 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
         return values
     if not unresolved:
         return [low, trace - low - high, high]
-    # the row with the smallest off-diagonal norm: (squared norm, diagonal entry, remaining 2x2 block p, q, h)
-    norm2, diagonal, p, q, h = min(
-        ((s12 + s13, a11, a22, a33, a23), (s12 + s23, a22, a11, a33, a13), (s13 + s23, a33, a11, a22, a12)),
-        key=itemgetter(0),
-    )
+    # the first row of smallest off-diagonal norm: (squared norm, diagonal entry, remaining 2x2 block p, q, h)
+    norm2, diagonal, p, q, h = s12 + s13, a11, a22, a33, a23
+    if s12 + s23 < norm2:
+        norm2, diagonal, p, q, h = s12 + s23, a22, a11, a33, a13
+    if s13 + s23 < norm2:
+        norm2, diagonal, p, q, h = s13 + s23, a33, a11, a22, a12
     if math.sqrt(norm2) <= EPSILON * abs(trace):
         mean, half = 0.5 * (p + q), math.hypot(0.5 * (p - q), abs(h))
         return sorted((diagonal, mean - half, mean + half))
@@ -321,38 +321,26 @@ def _states(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> tuple[tuple, tup
     return field, atom
 
 
-def _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12):
-    """The field and atom spectra, each ascending, from :func:`_eigvalsh3`.
-
-    Takes the arguments of :func:`coherent_information_batch`, unvalidated.
-    Over arrays it returns one array of shape (2, ..., 3), ``...`` the shape
-    of the points; at one point (no argument an array) a pair of lists of
-    three Python floats, computed without numpy unless a state defeats both
-    the closed form and the exact split.
-    """
-    field, atom = _states(theta, chi, phi, gamma_t, alpha1, r11, r22, r12)
-    spectra = [_eigvalsh3(*field), _eigvalsh3(*atom)]
-    return spectra if isinstance(spectra[0], list) else np.stack(spectra)
-
-
 def coherent_information_batch(theta, chi, phi, gamma_t, alpha1, r11, r22, r12) -> np.ndarray | float:
     """Coherent information in bits at many parameter points at once.
 
     ``theta, chi, phi, gamma_t, alpha1`` and the input state's entries
     ``r11``, ``r22`` (real) and ``r12`` (complex, the upper one) are arrays
     that broadcast to the shape of the points, such as (N,), or numbers
-    shared by every point.  The inputs are not validated: callers check
-    them first (:func:`params_mask`, ``channel.density_mask``).  Returns
+    shared by every point, as a grid block passes each fixed parameter.
+    The inputs are not validated: callers check them first
+    (:func:`params_mask`, ``channel.density_mask``).  Returns
     S(field) - S(atom), one per point: an array, or a float when no
     argument is an array.
     """
-    spectra = _spectra(theta, chi, phi, gamma_t, alpha1, r11, r22, r12)
-    if isinstance(spectra, list):  # one point, in Python floats
+    field, atom = _states(theta, chi, phi, gamma_t, alpha1, r11, r22, r12)
+    spectra = [_eigvalsh3(*field), _eigvalsh3(*atom)]
+    if isinstance(spectra[0], list):  # one point, in Python floats
         field, atom = _float_entropy(spectra[0]), _float_entropy(spectra[1])
         if field is not None and atom is not None:
             return field - atom
-        spectra = np.array(spectra)  # entropy_bits words the error
-    entropy = entropy_bits(spectra)
+    # entropy_bits also words the error of one point
+    entropy = entropy_bits(np.array(spectra))
     return entropy[0] - entropy[1]
 
 
@@ -362,6 +350,6 @@ def coherent_information_at(params: LambdaParams, rho: DensityMatrix) -> float:
     The one-point call of :func:`coherent_information_batch`.
     """
     (r11, r12), (_, r22) = rho.matrix.tolist()
-    return float(coherent_information_batch(
+    return coherent_information_batch(
         params.theta, params.chi, params.phi, params.gamma_t, params.alpha1, r11.real, r22.real, r12
-    ))
+    )

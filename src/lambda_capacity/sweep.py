@@ -186,23 +186,25 @@ def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: S
     """Yield (start, ic) over the row-major grid of ``axis_values``, BLOCK points at a time.
 
     ``ic`` holds I_c at the block's points, from flat index ``start`` on; a
-    point takes its axis values and ``base`` for the other parameters.
+    point takes its axis values and ``base`` for the other parameters.  A
+    block passes its axes as arrays and the fixed parameters as numbers.
     Unphysical points are not evaluated and read -inf.
     """
     shape = tuple(len(values) for values in axis_values)
     size = math.prod(shape)
+    numbers = {name: float(value) for name, value in base.items()}
     for start in range(0, size, BLOCK):
         index = np.unravel_index(np.arange(start, min(start + BLOCK, size)), shape)
-        columns = {name: np.full(len(index[0]), float(value)) for name, value in base.items()}
-        columns.update({name: values[i] for name, values, i in zip(names, axis_values, index)})
-        valid = _valid(columns)
+        axes = {name: values[i] for name, values, i in zip(names, axis_values, index)}
+        valid = _valid({**numbers, **axes})
         ic = np.full(len(valid), -np.inf)
-        ic[valid] = _block_ic({name: column[valid] for name, column in columns.items()})
+        if valid.any():  # a fixed value that fails a rule fails every point
+            ic[valid] = _block_ic({**numbers, **{name: column[valid] for name, column in axes.items()}})
         yield start, ic
 
 
-def _block_ic(columns: Mapping[str, np.ndarray | float]) -> np.ndarray:
-    """I_c at the points of ``columns``, unvalidated: arrays of one shape, or numbers for one point."""
+def _block_ic(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | float:
+    """I_c at the points of ``columns``, unvalidated: arrays of one shape and numbers they share, or numbers alone."""
     asym, rho11 = columns["asym"], columns["rho11"]
     return coherent_information_batch(
         columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"], asym / (asym + 1.0),

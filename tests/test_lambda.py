@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from lambda_capacity.lambda_system import (
     _decay,
     _eigvalsh3,
     _pulse,
-    _spectra,
+    _states,
 )
-from lambda_capacity.linalg import entropy_bits
+from lambda_capacity.linalg import NegativeProbability, NotNormalized, entropy_bits
 from oracle import (
     apply_channel,
     closed_form_channel,
@@ -396,11 +397,59 @@ def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
         assert np.abs(np.array(split) - np.linalg.eigvalsh(a)).max() <= 4.0 * eps * trace
     assert len(shapes) == len(cases)  # the reference calls alone
 
+    def split(a, row):
+        """The exact split at ``row``: its diagonal entry, and the eigenvalues of the remaining 2x2 block."""
+        others = [k for k in range(3) if k != row]
+        p, q = (float(a[k, k].real) for k in others)
+        mean, half = 0.5 * (p + q), math.hypot(0.5 * (p - q), abs(complex(a[others[0], others[1]])))
+        return sorted((float(a[row, row].real), mean - half, mean + half))
+
+    # rows that tie on the smallest off-diagonal norm split at the first of them.  With a_ij = 0 (i < j) and
+    # the other two entries of one norm <= eps |trace|, rows i and j tie; diag(0, 0, 1) in each order ties
+    # all three.  Each case is (matrix, tied rows)
+    ties = [(np.diag(diagonal).astype(complex), [0, 1, 2])
+            for diagonal in sorted(set(itertools.permutations((0.0, 0.0, 1.0))))]
+    for k in range(60):
+        small = rng.uniform(0.0, 0.004, 2)
+        a = np.diag(rng.permutation([*small, 1.0 - small.sum()])).astype(complex)
+        tied = [(0, 1), (0, 2), (1, 2)][k % 3]
+        first, second = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if (i, j) != tied]
+        a[first] = rng.uniform(0.0, 0.9) * eps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        # each of these has the squared norm of a[first] to the last bit
+        a[second] = [a[first].conjugate(), -a[first], 1j * a[first]][rng.integers(3)]
+        a[first[::-1]], a[second[::-1]] = a[first].conjugate(), a[second].conjugate()
+        ties.append((a, list(tied)))
+    for tied in ([0, 1], [0, 2], [1, 2]):  # the tie rule decides the result
+        assert any(split(a, rows[0]) != split(a, rows[1]) for a, rows in ties if rows == tied)
+    shapes.clear()
+    _eigvalsh3(*(np.array(column) for column in zip(*(entries(a) for a, _ in ties))))
+    assert shapes == [(len(ties), 3, 3)]  # all unresolved by the closed form
+    shapes.clear()
+    for a, rows in ties:
+        assert _eigvalsh3(*entries(a)) == split(a, rows[0])
+    assert shapes == []
+
     # a row coupled just above eps |trace| goes to LAPACK
     shapes.clear()
     coupled = matrix(0, 0.0, [0.002, 0.998], 1.01 * eps)
     assert _eigvalsh3(*entries(coupled)) == np.linalg.eigvalsh(coupled, UPLO="U").tolist()
     assert shapes == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "r11, r22, error, message",
+    [
+        (1.5, -0.5, NegativeProbability, "probability -8.251e-02 below -1e-10"),
+        (0.3, 0.3, NotNormalized, "probabilities sum to 0.6, expected 1"),
+    ],
+)
+def test_one_point_route_words_errors_as_the_array_route(r11, r22, error, message):
+    point = (1.0, 0.7, 0.0, math.inf, 0.5, r11, r22, 0j)
+    with pytest.raises(error) as one:
+        coherent_information_batch(*point)
+    with pytest.raises(error) as stack:
+        coherent_information_batch(*(np.array([x]) for x in point))
+    assert str(one.value) == str(stack.value) == message
 
 
 def test_evaluator_matches_independent_reference_for_general_pulses():
@@ -461,7 +510,8 @@ def test_closed_form_spectra_match_lapack_at_edges():
     rho = np.moveaxis(np.array([[rho11, rho12], [rho12.conj(), 1.0 - rho11]]), -1, 0)
     alpha1 = asym / (asym + 1.0)
 
-    spectra = _spectra(theta, chi, phi, gamma_t, alpha1, rho11, 1.0 - rho11, rho12)
+    field, atom = _states(theta, chi, phi, gamma_t, alpha1, rho11, 1.0 - rho11, rho12)
+    spectra = np.stack([_eigvalsh3(*field), _eigvalsh3(*atom)])
     assert np.diff(spectra, axis=-1).min() >= -1e-14  # ascending, up to roundoff
     ours = entropy_bits(spectra)
     # the states built from the isometry W = V U, one point at a time

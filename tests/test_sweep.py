@@ -1,5 +1,6 @@
 import argparse
 import functools
+import itertools
 import math
 import sys
 import types
@@ -171,6 +172,15 @@ def test_block_validity_mask_matches_scalar_constructors():
     assert 0.2 < valid.mean() < 0.8
     # a simplex step checks one point of Python floats with the same function
     assert [bool(_valid(point)) for point in points] == valid.tolist()
+    # a grid block passes each fixed parameter as one Python number, which the masks broadcast: columns
+    # shared at the values of one point, the others arrays, give the mask of the all-array block.  Each
+    # column is shared alone, and all but one or two of them, as a 1- or 2-axis grid shares them
+    for i in [*range(4), *range(n - len(edge_states), n)]:
+        for size in (1, len(columns) - 2, len(columns) - 1):
+            for shared in itertools.combinations(columns, size):
+                numbers = {name: float(columns[name][i]) for name in shared}
+                full = _valid({**columns, **{name: np.full(n, x) for name, x in numbers.items()}})
+                assert _valid({**columns, **numbers}).tolist() == full.tolist()
 
     # each rejected point's error is the first rule that fails there, with the
     # rules evaluated over the whole block as the mask evaluates them
