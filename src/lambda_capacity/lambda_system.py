@@ -31,13 +31,13 @@ modes:
 :func:`coherent_information_batch` evaluates many points at once this way;
 :func:`coherent_information_at` is its one-point call.  A call over arrays,
 such as a sweep block, takes both spectra from the trigonometric closed form
-for 3x3 Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)), and LAPACK's
-``eigvalsh`` only at the points the closed form cannot resolve: a
-near-double eigenvalue pair next to a small eigenvalue.  A call at one
-point, such as each simplex step, runs the same arithmetic on Python
-floats, entropies included.  It resolves such a point by an exact split
-where a row of the state is decoupled up to roundoff, and calls LAPACK
-only where that fails too (see :func:`_eigvalsh3`).
+for 3x3 Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)), and from
+LAPACK only where the closed form cannot resolve them: a near-double pair
+next to a small eigenvalue.  A call at one point, such as a simplex step,
+runs the same arithmetic on Python floats, entropies included, and resolves
+such a point by an exact split where a row is decoupled up to roundoff.
+Where that fails too (see :func:`_eigvalsh3`), and for ``compute``'s printed
+spectra, the one LAPACK entry is :func:`_lapack_eigvalsh3`.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
     matrices with 1 - |r| below DEGENERATE_TOL whose smallest eigenvalue
     lies below SMALL_EIGENVALUE are left unresolved: there the error could
     make a zero eigenvalue a negative probability, or move an entropy by
-    more than 1e-13.  An array call sends them to ``np.linalg.eigvalsh``.
+    more than 1e-13.  An array call sends them to :func:`_lapack_eigvalsh3`.
 
     A one-matrix call first tries an exact split.  Let k be the row with
     the smallest off-diagonal norm.  If that norm is at most
@@ -240,9 +240,7 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
         values = np.stack([low, trace - low - high, high], axis=-1)
         if unresolved.any():
             entries = (x[unresolved] for x in np.broadcast_arrays(a11, a22, a33, a12, a13, a23))
-            values[unresolved] = np.linalg.eigvalsh(
-                _hermitian3((np.count_nonzero(unresolved),), *entries), UPLO="U"
-            )
+            values[unresolved] = _lapack_eigvalsh3((np.count_nonzero(unresolved),), *entries)
         return values
     if not unresolved:
         return [low, trace - low - high, high]
@@ -255,11 +253,11 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
     if math.sqrt(norm2) <= EPSILON * abs(trace):
         mean, half = 0.5 * (p + q), math.hypot(0.5 * (p - q), abs(h))
         return sorted((diagonal, mean - half, mean + half))
-    return np.linalg.eigvalsh(_hermitian3((), a11, a22, a33, a12, a13, a23), UPLO="U").tolist()
+    return _lapack_eigvalsh3((), a11, a22, a33, a12, a13, a23).tolist()
 
 
-def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
-    """The matrices ``shape + (3, 3)`` with these diagonal and upper entries, of a12's dtype; the lower triangle stays zero."""
+def _lapack_eigvalsh3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
+    """LAPACK's ascending eigenvalues of the Hermitian matrices ``shape + (3, 3)`` with these upper-triangle entries."""
     matrix = np.zeros(shape + (3, 3), dtype=np.result_type(a12))
     matrix[..., 0, 0] = a11
     matrix[..., 1, 1] = a22
@@ -267,7 +265,7 @@ def _hermitian3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:
     matrix[..., 0, 1] = a12
     matrix[..., 0, 2] = a13
     matrix[..., 1, 2] = a23
-    return matrix
+    return np.linalg.eigvalsh(matrix, UPLO="U")
 
 
 # the functions of _states' arithmetic, cis(x) = e^{ix} first: on Python floats for

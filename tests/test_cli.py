@@ -91,18 +91,41 @@ EDGE_VALUES = (
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# the commands that take the edge values, a third of the draws each: compute or validate, a figure
+# preset in either format, and optimize with the config of the fixture below
+EDGE_COMMANDS = st.one_of(
+    st.sampled_from([("compute",), ("validate",)]),
+    st.builds(lambda name, fmt: ("figure", "--figure", name, "--format", fmt),
+              st.sampled_from(sorted(sweep.FIGURES)), st.sampled_from(["csv", "json"])),
+    st.just(("optimize",)),
+)
+
+
+@pytest.fixture(scope="module")
+def optimize_config(tmp_path_factory):
+    config = tmp_path_factory.mktemp("edge") / "optimize.json"
+    config.write_text(json.dumps({
+        "optimize": {"free": ["theta", "chi"], "bounds": {"theta": [0.0, FULL_TURN], "chi": [0.0, math.pi / 2]}},
+    }))
+    return str(config)
+
+
+@settings(max_examples=900, deadline=None, derandomize=True)
 @given(
-    st.sampled_from(["compute", "validate"]),
+    EDGE_COMMANDS,
     st.lists(st.tuples(st.sampled_from(sweep.PARAM_NAMES), st.sampled_from(EDGE_VALUES)), min_size=1, max_size=3),
 )
-def test_edge_values_end_in_documented_exit_codes(command, flags):
+def test_edge_values_end_in_documented_exit_codes(optimize_config, command, flags):
+    if command == ("optimize",):
+        command += ("--config", optimize_config)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, *(_flag(name, value) for name, value in flags)])
-    assert code in (0, 2, 3, 5), (code, err.getvalue())
+        code = main([*command, *(_flag(name, value) for name, value in flags)])
+    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
     if code in (0, 5):
         assert out.getvalue() and not err.getvalue()
+    elif code == 4:  # the search's best point, and why it stopped
+        assert out.getvalue() and err.getvalue().startswith("error: ")
     else:
         assert not out.getvalue() and err.getvalue().startswith("error: ")
     # an error message may echo a nan it was given; a report may not print one

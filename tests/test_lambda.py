@@ -17,6 +17,7 @@ from lambda_capacity.lambda_system import (
     params_mask,
     _decay,
     _eigvalsh3,
+    _lapack_eigvalsh3,
     _pulse,
     _states,
 )
@@ -434,6 +435,24 @@ def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
     coupled = matrix(0, 0.0, [0.002, 0.998], 1.01 * eps)
     assert _eigvalsh3(*entries(coupled)) == np.linalg.eigvalsh(coupled, UPLO="U").tolist()
     assert shapes == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("shape", [(), (7,), (2,)])
+def test_lapack_entry_reads_the_upper_triangle(shape, dtype):
+    rng = np.random.default_rng(2300)
+    a = rng.normal(size=shape + (3, 3)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=shape + (3, 3))
+    full = a + np.swapaxes(a, -1, -2).conj()
+    diagonal = (full[..., k, k].real for k in range(3))
+    upper = (full[..., i, j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    values = _lapack_eigvalsh3(shape, *diagonal, *upper)
+    assert values.shape == shape + (3,)
+    # the matrices it builds have a zero lower triangle: LAPACK must read the upper one
+    assert np.array_equal(values, np.linalg.eigvalsh(full, UPLO="U"))
+    lower = np.linalg.eigvalsh(full)
+    assert (np.abs(values - lower).max(axis=-1) <= 1e-14 * np.abs(lower).max(axis=-1)).all()
 
 
 @pytest.mark.parametrize(
