@@ -112,19 +112,26 @@ def _coherence(re_rho12, im_rho12):
     return rho12
 
 
-def density_mask(rho11, re_rho12, im_rho12):
-    """True where :func:`qubit_state` accepts these numbers, by :class:`DensityMatrix`'s checks.
+def _qubit_checks(rho11, re_rho12, im_rho12):
+    """The (passes, value) pairs of :func:`_density_checks` on the states :func:`qubit_state` builds from these numbers.
 
     Elementwise when any argument is an array, a number then being shared by every state.
     """
     rho12 = _coherence(re_rho12, im_rho12)
     if not (isinstance(rho11, np.ndarray) or isinstance(rho12, np.ndarray)):
-        return all(passes for passes, _ in _density_checks(rho11, rho12, rho12.conjugate(), 1.0 - rho11))
+        return _density_checks(rho11, rho12, rho12.conjugate(), 1.0 - rho11)
     # neither an overflow to inf nor a rejected NaN entry may warn
     with np.errstate(over="ignore", invalid="ignore"):
-        checks = _density_checks(rho11, rho12, rho12.conjugate(), 1.0 - rho11)
+        return _density_checks(rho11, rho12, rho12.conjugate(), 1.0 - rho11)
+
+
+def density_mask(rho11, re_rho12, im_rho12):
+    """True where :func:`qubit_state` accepts these numbers, by :class:`DensityMatrix`'s checks.
+
+    Elementwise when any argument is an array, a number then being shared by every state.
+    """
     valid = True
-    for passes, _ in checks:
+    for passes, _ in _qubit_checks(rho11, re_rho12, im_rho12):
         valid = valid & passes
     return valid
 

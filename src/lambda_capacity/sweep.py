@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import OptimizeResult
 
-from .channel import DensityMatrix, NotDensityMatrix, _coherence, density_mask, qubit_state
+from .channel import DensityMatrix, NotDensityMatrix, _coherence, _qubit_checks, density_mask, qubit_state
 from .lambda_system import LambdaParams, coherent_information_batch, params_mask
 
 # each parameter's default and --help text, in flag order, the input state last
@@ -176,10 +176,38 @@ def _state_valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | bool
 def _valid(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | bool:
     """True where ``LambdaParams`` and ``qubit_state`` accept the point: elementwise over columns of arrays.
 
-    The validity rule of grid blocks; a simplex step applies its two parts
-    itself (see :func:`maximize_ic`).
+    The validity rule of grid blocks.  A simplex step applies its two parts
+    itself, and only those that the corners of its search box leave open
+    (see :func:`maximize_ic`).
     """
     return _params_valid(columns) & _state_valid(columns)
+
+
+def _box_inside(base: Mapping[str, float], box: Mapping[str, tuple[float, float]]) -> tuple[bool, bool]:
+    """Whether ``LambdaParams``, and ``qubit_state``, accept every point of ``box``: the pair (params, state).
+
+    ``box`` maps each searched parameter to its bounds (lo, hi), and ``base``
+    gives the others.  Both parts are decided on the 2^k corners of the box,
+    in one array call each, and exactly.  Each parameter rule compares one
+    coordinate with constants.  The state's lowest eigenvalue is concave in
+    its three numbers, so it is lowest at a corner; corners at >= 0, not just
+    at >= -DENSITY_TOL, leave that tolerance for the roundoff of the points
+    between them.  Such corners have rho11 in [0, 1] up to roundoff, where
+    the finite, Hermiticity and trace checks pass at every point.  With no
+    state number in the box, every point has the state of ``base``, checked
+    as one point is, with no margin.
+    """
+    corners = [()]
+    for ends in box.values():
+        corners = [corner + (value,) for corner in corners for value in ends]
+    columns = {**base, **dict(zip(box, np.array(corners, dtype=float).T))}
+    checks = _qubit_checks(*(columns[name] for name in STATE_NAMES))
+    state = True
+    for passes, _ in checks:
+        state = state & passes
+    if any(name in STATE_NAMES for name in box):
+        state = state & (checks[-1][1] >= 0.0)
+    return bool(np.all(_params_valid(columns))), bool(np.all(state))
 
 
 def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
@@ -260,6 +288,11 @@ def maximize_ic(
     and are thereby rejected.  Degenerate bounds (lo == hi) pin a parameter
     without consuming a search dimension.
 
+    The validity rule is decided once for the box of the searched
+    parameters, on its corners (:func:`_box_inside`).  :func:`minimize`
+    evaluates only points of the box, so each simplex step checks only the
+    part of the rule, parameters or state, that the box may fail.
+
     Raises
     ------
     InvalidSpec
@@ -300,14 +333,12 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
-    # a search that moves no input-state parameter checks the state once
-    state_free = any(name in STATE_NAMES for name in active)
-    state_valid = state_free or _state_valid(base)
+    params_inside, state_inside = _box_inside(base, {name: bounds[name] for name in active})
 
     def score(x: Sequence[float]) -> float:
         # I_c with the active parameters at x; on Python floats the rule checks are plain float comparisons
         here = {**base, **dict(zip(active, x))}
-        if state_valid and _params_valid(here) and (not state_free or _state_valid(here)):
+        if (params_inside or _params_valid(here)) and (state_inside or _state_valid(here)):
             return float(_block_ic(here))
         return -math.inf
 

@@ -1,0 +1,65 @@
+"""The summary of ``tools/bench_pairs.py``, on canned benchmark reports: no benchmark runs."""
+
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+@pytest.fixture
+def bench_pairs():
+    """The tool, run from its source file, so that no bytecode lands next to it."""
+    path = ROOT / "tools" / "bench_pairs.py"
+    module = types.ModuleType("bench_pairs")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _stdout(**values):
+    """A benchmark run's stdout: a line of its own, then the report line with these end-to-end values."""
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in END_TO_END}
+    return "failed: nothing\n" + json.dumps({"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}) + "\n"
+
+
+def test_summary_counts_wins_in_each_metrics_direction(bench_pairs):
+    assert [m["name"] for m in END_TO_END] == ["setup_s", "call_s", "points_per_s", "peak_rss_mb"]
+    pairs = []
+    for i in range(10):
+        rate = 350e3 + 5e3 * i
+        base = _stdout(setup_s=0.5, call_s=0.020 + 0.001 * i, points_per_s=rate, peak_rss_mb=80.0 + i)
+        # the change: 30% more points/s but in pair 0, a faster call in 8 pairs, the same setup, 0.1 MB more
+        change = _stdout(setup_s=0.5, call_s=0.015 + 0.001 * i if i < 8 else 0.040, peak_rss_mb=80.1 + i,
+                         points_per_s=rate * 1.3 if i else rate * 0.99)
+        pairs.append((bench_pairs.report(base), bench_pairs.report(change)))
+    rows = {row["name"]: row for row in bench_pairs.summarize(pairs, END_TO_END)}
+
+    rates = [350e3 + 5e3 * i for i in range(10)]
+    assert rows["points_per_s"]["base"] == bench_pairs.quartiles(rates)
+    assert rows["points_per_s"]["base"][1] == pytest.approx(372.5e3)
+    assert (rows["points_per_s"]["wins"], rows["points_per_s"]["claim"]) == (9, True)
+    # lower is better: 8 wins of 10 fall short of nine tenths
+    assert (rows["call_s"]["wins"], rows["call_s"]["claim"]) == (8, False)
+    # ties count for neither side
+    assert (rows["setup_s"]["wins"], rows["setup_s"]["claim"]) == (0, False)
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["unit"]) == (0, "MB")
+
+
+def test_summary_claims_only_past_the_base_spread(bench_pairs):
+    # the change wins every pair, by less than the distance between the base's quartiles
+    pairs = []
+    for i in range(10):
+        values = dict(setup_s=0.5, call_s=0.010 * (i + 1), points_per_s=1e5, peak_rss_mb=80.0)
+        base = bench_pairs.report(_stdout(**values))
+        change = bench_pairs.report(_stdout(**dict(values, call_s=values["call_s"] - 0.001)))
+        pairs.append((base, change))
+    rows = {row["name"]: row for row in bench_pairs.summarize(pairs, END_TO_END)}
+    assert rows["call_s"]["base"] == pytest.approx((0.0275, 0.055, 0.0825))
+    assert (rows["call_s"]["wins"], rows["call_s"]["claim"]) == (10, False)
+    # one pair: its values are the quartiles
+    row = bench_pairs.summarize(pairs[:1], END_TO_END)[1]
+    assert row["base"] == (0.01, 0.01, 0.01)

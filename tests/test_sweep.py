@@ -11,9 +11,18 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 from lambda_capacity import cli, sweep
-from lambda_capacity.channel import DENSITY_MESSAGES, NotDensityMatrix, _coherence, _density_checks, qubit_state
+from lambda_capacity.channel import (
+    DENSITY_MESSAGES,
+    DENSITY_TOL,
+    NotDensityMatrix,
+    _coherence,
+    _density_checks,
+    _qubit_checks,
+    qubit_state,
+)
 from lambda_capacity.lambda_system import PARAM_RULES, InvalidAlphas, InvalidAngle, LambdaParams
 from lambda_capacity.sweep import (
     Axis,
@@ -26,8 +35,11 @@ from lambda_capacity.sweep import (
     SweepSpec,
     UnknownFigure,
     _block_ic,
+    _box_inside,
     _grid_blocks,
+    _params_valid,
     _point_objects,
+    _state_valid,
     _valid,
     figure_preset,
     grid_sweep,
@@ -318,7 +330,7 @@ def test_maximize_over_pulse_angle():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: bounded Nelder-Mead clips the 1-D simplex onto the bound chi = pi/2",
+    reason="ROADMAP item 4: bounded Nelder-Mead clips the 1-D simplex onto the bound chi = pi/2",
 )
 def test_maximize_reaches_optimum_next_to_a_bound():
     # the coarse seed is chi = pi/2; the search returns it after 2 iterations
@@ -384,6 +396,134 @@ def test_maximize_rejects_unphysical_state_interior():
     assert math.isfinite(best.value)
 
 
+# ------------------------------------------- the validity rule on a search box
+
+
+# each name's draw range for a box centre and a fixed value: past the edges of its rule, or of the state disc
+BOX_RANGES = {
+    "theta": (-10.0, 10.0), "chi": (-0.2, math.pi / 2 + 0.2), "asym": (-0.2, 2.0), "gamma_t": (-0.2, 8.0),
+    "rho11": (-0.05, 1.05), "re_rho12": (-0.55, 0.55), "im_rho12": (-0.55, 0.55),
+}
+
+
+@st.composite
+def search_boxes(draw):
+    """(base, box): bounds for 1-4 parameters around random centres, and the other parameters' values."""
+    names = draw(st.lists(st.sampled_from(list(BOX_RANGES)), min_size=1, max_size=4, unique=True))
+    box = {}
+    for name in names:
+        centre = draw(st.floats(*BOX_RANGES[name]))
+        half = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.05, 0.2, 0.6]))
+        box[name] = (centre - half, centre + half)
+    base = dict(DEFAULTS)
+    for name in STATE_NAMES:
+        if name not in box:
+            base[name] = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(*BOX_RANGES[name]))
+    return base, box
+
+
+def _points_of_box(base, box, rng):
+    """Points of ``box`` as a simplex step holds them: its corners, one ulp inside each corner, and random points."""
+    lo, hi = (np.array(ends) for ends in zip(*box.values()))
+    corners = [np.where(pick, hi, lo) for pick in itertools.product((False, True), repeat=len(box))]
+    inside = [np.where(corner == lo, np.nextafter(lo, hi), np.nextafter(hi, lo)) for corner in corners]
+    between = [np.clip(lo + rng.random(len(box)) * (hi - lo), lo, hi) for _ in range(20)]
+    return [{**base, **dict(zip(box, map(float, x)))} for x in [*corners, *inside, *between]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(search_boxes(), st.integers(0, 2 ** 32 - 1))
+# pure states at the corners: the lowest eigenvalue is 0 there, the margin's edge
+@example((dict(DEFAULTS, re_rho12=0.0, im_rho12=0.0), {"rho11": (0.5, 1.0)}), 0)
+@example((dict(DEFAULTS, rho11=0.5, im_rho12=0.0), {"re_rho12": (-0.5, 0.5)}), 0)
+@example((dict(DEFAULTS, im_rho12=0.0), {"rho11": (0.0, 1.0), "chi": (0.0, math.pi / 2)}), 0)
+def test_box_corners_decide_every_point_of_the_box(drawn, seed):
+    base, box = drawn
+    params_inside, state_inside = _box_inside(base, box)
+    points = _points_of_box(base, box, np.random.default_rng(seed))
+    if params_inside:
+        assert all(_params_valid(point) for point in points)
+    if state_inside:
+        assert all(_state_valid(point) for point in points)
+    # the parameter rules need no margin: a box whose corners all pass them is inside
+    assert params_inside == all(_params_valid(point) for point in points[: 2 ** len(box)])
+
+
+def _corner_at_the_state_tolerance():
+    """rho11 just past the disc |rho12| <= 0.3, where the state's lowest eigenvalue is within 1e-15 above -DENSITY_TOL."""
+    def lowest(rho11):
+        return _qubit_checks(rho11, 0.3, 0.0)[-1][1]
+
+    # the disc ends at rho11 = 0.9, where the lowest eigenvalue falls with slope 0.8
+    rho11 = 0.9 + DENSITY_TOL / 0.8
+    while lowest(rho11) < -DENSITY_TOL:
+        rho11 = float(np.nextafter(rho11, 0.0))
+    while lowest(float(np.nextafter(rho11, 1.0))) >= -DENSITY_TOL:
+        rho11 = float(np.nextafter(rho11, 1.0))
+    assert 0.0 <= lowest(rho11) + DENSITY_TOL < 1e-15
+    return rho11
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """Record, for every ``sweep.minimize`` call, the mask calls its steps made and its evaluation count."""
+    calls = {"params": 0, "state": 0}
+    searches = []
+
+    def counted(kind, mask):
+        def wrapper(*args):
+            calls[kind] += 1
+            return mask(*args)
+        return wrapper
+
+    def search(f, x0, bounds):
+        calls.update(params=0, state=0)
+        result = minimize(f, x0, bounds)
+        searches.append((dict(calls), result.nfev))
+        return result
+
+    monkeypatch.setattr(sweep, "params_mask", counted("params", sweep.params_mask))
+    monkeypatch.setattr(sweep, "density_mask", counted("state", sweep.density_mask))
+    monkeypatch.setattr(sweep, "minimize", search)
+    return searches
+
+
+def test_steps_check_only_what_the_box_corners_leave_open(counted_steps, monkeypatch):
+    edge = _corner_at_the_state_tolerance()
+    assert _box_inside(dict(DEFAULTS, re_rho12=0.3), {"rho11": (0.5, edge)}) == (True, False)
+    cases = [
+        # (free, bounds, fixed, parameters checked at every step, state checked at every step)
+        (["theta", "chi"], {"theta": (0.0, TWO_PI), "chi": (0.0, math.pi / 2)}, {"rho11": 0.3, "re_rho12": 0.2},
+         False, False),
+        (["rho11", "re_rho12", "im_rho12"], {"rho11": (0.2, 0.8), "re_rho12": (-0.2, 0.2), "im_rho12": (0.0, 0.2)},
+         {}, False, False),
+        (["theta", "chi", "asym", "rho11"],
+         {"theta": (0.0, TWO_PI), "chi": (0.0, math.pi / 2), "asym": (0.0, 2.0), "rho11": (0.0, 1.0)},
+         {"gamma_t": 1.5}, False, False),
+        (["chi"], {"chi": (0.0, 2.0)}, {}, True, False),
+        (["re_rho12"], {"re_rho12": (-0.6, 0.6)}, {"rho11": 0.1}, False, True),
+        (["gamma_t", "rho11", "re_rho12"], {"gamma_t": (-1.0, 4.0), "rho11": (0.0, 1.0), "re_rho12": (-0.6, 0.6)},
+         {}, True, True),
+        # the corner rho11 = edge passes the state's check, short of the margin: every step checks the state
+        (["rho11"], {"rho11": (0.5, edge)}, {"re_rho12": 0.3}, False, True),
+    ]
+    for free, bounds, fixed, params_open, state_open in cases:
+        best = maximize_ic(free, bounds, fixed)
+        (calls, nfev), = counted_steps
+        counted_steps.clear()
+        assert calls["params"] == (nfev if params_open else 0)
+        if params_open and state_open:
+            # a step whose parameters fail skips the state check
+            assert 0 < calls["state"] <= nfev
+        else:
+            assert calls["state"] == (nfev if state_open else 0)
+        # a step that skips a check scores as it does with every check in place
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "_box_inside", lambda base, box: (False, False))
+            assert best == maximize_ic(free, bounds, fixed)
+        counted_steps.clear()
+
+
 # ------------------------------------------------ simplex against scipy's
 
 
@@ -406,8 +546,20 @@ def _scipy_minimize(f, x0, bounds):
 
 
 def _same_search(search, f, x0, bounds):
-    """``search``'s result, after checking it is scipy's to the last bit."""
-    ours, theirs = search(f, x0, bounds), _scipy_minimize(f, x0, bounds)
+    """``search``'s result, after checking it is scipy's to the last bit and that it calls ``f`` inside ``bounds`` only.
+
+    ``maximize_ic`` skips every validity check that the corners of its box
+    pass, which is exact only because no trial point leaves the box.
+    """
+    points = []
+
+    def recorded(x):
+        points.append(list(x))
+        return f(x)
+
+    ours, theirs = search(recorded, x0, bounds), _scipy_minimize(f, x0, bounds)
+    assert len(points) == ours.nfev
+    assert all(lo <= v <= hi for x in points for v, (lo, hi) in zip(x, bounds, strict=True))
     assert np.array_equal(ours.x, theirs.x)
     assert (ours.fun, ours.nit, ours.nfev, ours.success) == (theirs.fun, theirs.nit, theirs.nfev, theirs.success)
     return ours
@@ -484,6 +636,22 @@ def test_simplex_is_scipys_on_unphysical_plateaus(checked_searches):
             return 0.0 if max(abs(a - b) for a, b in zip(x, x0)) < 1e-3 else math.inf
 
         _same_search(minimize, well, x0, bounds)
+
+
+def test_simplex_evaluates_only_points_of_the_box():
+    # bowls centred outside random boxes pull every search onto the bounds; half the seeds start on a bound
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4) * 5:
+        low = rng.uniform(-2.0, 1.0, n)
+        high = low + rng.choice([1e-9, 0.1, 1.0, 3.0], n)
+        bounds = list(zip(low.tolist(), high.tolist()))
+        centre = rng.uniform(low - 2.0, high + 2.0)
+        x0 = np.where(rng.random(n) < 0.5, np.where(rng.random(n) < 0.5, low, high), rng.uniform(low, high))
+
+        def bowl(x, centre=centre.tolist()):
+            return sum((a - c) ** 2 for a, c in zip(x, centre))
+
+        _same_search(minimize, bowl, x0.tolist(), bounds)
 
 
 def test_simplex_stops_as_scipys_at_the_caps(monkeypatch):
