@@ -192,22 +192,21 @@ def _box_inside(base: Mapping[str, float], box: Mapping[str, tuple[float, float]
     coordinate with constants.  The state's lowest eigenvalue is concave in
     its three numbers, so it is lowest at a corner; corners at >= 0, not just
     at >= -DENSITY_TOL, leave that tolerance for the roundoff of the points
-    between them.  Such corners have rho11 in [0, 1] up to roundoff, where
-    the finite, Hermiticity and trace checks pass at every point.  With no
-    state number in the box, every point has the state of ``base``, checked
-    as one point is, with no margin.
+    between them.  A lowest eigenvalue >= 0 also settles the other checks:
+    a non-finite number gives NaN or -inf there, and rho11 lies in [0, 1] up
+    to roundoff, so the trace check passes; Hermiticity holds by
+    construction.  With no state number in the box, every point has the
+    state of ``base``, checked as one point is, with no margin.
     """
     corners = [()]
     for ends in box.values():
         corners = [corner + (value,) for corner in corners for value in ends]
     columns = {**base, **dict(zip(box, np.array(corners, dtype=float).T))}
-    checks = _qubit_checks(*(columns[name] for name in STATE_NAMES))
-    state = True
-    for passes, _ in checks:
-        state = state & passes
     if any(name in STATE_NAMES for name in box):
-        state = state & (checks[-1][1] >= 0.0)
-    return bool(np.all(_params_valid(columns))), bool(np.all(state))
+        state = np.all(_qubit_checks(*(columns[name] for name in STATE_NAMES))[-1][1] >= 0.0)
+    else:
+        state = _state_valid(base)
+    return bool(np.all(_params_valid(columns))), bool(state)
 
 
 def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
@@ -290,8 +289,9 @@ def maximize_ic(
 
     The validity rule is decided once for the box of the searched
     parameters, on its corners (:func:`_box_inside`).  :func:`minimize`
-    evaluates only points of the box, so each simplex step checks only the
-    part of the rule, parameters or state, that the box may fail.
+    evaluates only points of the box while four times each bound is finite,
+    so each simplex step then checks only the part of the rule, parameters or
+    state, that the box may fail.  Bounds past that keep every check.
 
     Raises
     ------
@@ -333,7 +333,12 @@ def maximize_ic(
     active = [name for name in free if name not in pinned]
     base.update(pinned)
 
-    params_inside, state_inside = _box_inside(base, {name: bounds[name] for name in active})
+    box = {name: bounds[name] for name in active}
+    if all(math.isfinite(4.0 * max(abs(lo), abs(hi))) for lo, hi in box.values()):
+        params_inside, state_inside = _box_inside(base, box)
+    else:
+        # past a quarter of the float limit minimize's arithmetic can make a NaN, which its clip passes
+        params_inside = state_inside = False
 
     def score(x: Sequence[float]) -> float:
         # I_c with the active parameters at x; on Python floats the rule checks are plain float comparisons
@@ -384,6 +389,13 @@ def minimize(f, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> O
     alone, and the sort is stable: tied vertices keep their order, as under a
     stable ``np.argsort``.  Returns scipy's ``OptimizeResult`` with ``x``,
     ``fun``, ``nit``, ``nfev`` and ``success``.
+
+    ``f`` sees only points of the box when 4 max(|lo|, |hi|) is finite for
+    every bound.  A trial point then scales a vertex by at most 2 and the
+    centroid by at most 3, which overflows only when the centroid's sum does,
+    to +-inf; so inf - inf never arises, and each +-inf the arithmetic makes
+    is clipped to a bound.  Past that, inf - inf gives a NaN, which the clip
+    passes to ``f``.
     """
     maxiter, maxfev = MAX_ITERATIONS, 4 * MAX_ITERATIONS
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]

@@ -418,7 +418,8 @@ def search_boxes(draw):
     base = dict(DEFAULTS)
     for name in STATE_NAMES:
         if name not in box:
-            base[name] = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(*BOX_RANGES[name]))
+            special = st.sampled_from([0.0, 0.1, 0.5, 1.0, math.inf, math.nan])
+            base[name] = draw(special | st.floats(*BOX_RANGES[name]))
     return base, box
 
 
@@ -437,6 +438,9 @@ def _points_of_box(base, box, rng):
 @example((dict(DEFAULTS, re_rho12=0.0, im_rho12=0.0), {"rho11": (0.5, 1.0)}), 0)
 @example((dict(DEFAULTS, rho11=0.5, im_rho12=0.0), {"re_rho12": (-0.5, 0.5)}), 0)
 @example((dict(DEFAULTS, im_rho12=0.0), {"rho11": (0.0, 1.0), "chi": (0.0, math.pi / 2)}), 0)
+# a fixed state number that is not finite fails at every corner
+@example((dict(DEFAULTS, re_rho12=math.inf, im_rho12=0.0), {"rho11": (0.4, 0.6)}), 0)
+@example((dict(DEFAULTS, rho11=0.5, im_rho12=math.nan), {"re_rho12": (-0.1, 0.1)}), 0)
 def test_box_corners_decide_every_point_of_the_box(drawn, seed):
     base, box = drawn
     params_inside, state_inside = _box_inside(base, box)
@@ -506,9 +510,18 @@ def test_steps_check_only_what_the_box_corners_leave_open(counted_steps, monkeyp
          {}, True, True),
         # the corner rho11 = edge passes the state's check, short of the margin: every step checks the state
         (["rho11"], {"rho11": (0.5, edge)}, {"re_rho12": 0.3}, False, True),
+        # inside the region, but past a quarter of the float limit, where a trial point may be NaN
+        (["gamma_t"], {"gamma_t": (1.75e308, 1.79e308)}, {}, True, True),
     ]
+
+    def outcome(free, bounds, fixed):
+        try:
+            return maximize_ic(free, bounds, fixed)
+        except sweep.NoConvergence as stopped:
+            return "no convergence", stopped.best
+
     for free, bounds, fixed, params_open, state_open in cases:
-        best = maximize_ic(free, bounds, fixed)
+        best = outcome(free, bounds, fixed)
         (calls, nfev), = counted_steps
         counted_steps.clear()
         assert calls["params"] == (nfev if params_open else 0)
@@ -520,7 +533,7 @@ def test_steps_check_only_what_the_box_corners_leave_open(counted_steps, monkeyp
         # a step that skips a check scores as it does with every check in place
         with monkeypatch.context() as patch:
             patch.setattr(sweep, "_box_inside", lambda base, box: (False, False))
-            assert best == maximize_ic(free, bounds, fixed)
+            assert best == outcome(free, bounds, fixed)
         counted_steps.clear()
 
 
@@ -652,6 +665,22 @@ def test_simplex_evaluates_only_points_of_the_box():
             return sum((a - c) ** 2 for a, c in zip(x, centre))
 
         _same_search(minimize, bowl, x0.tolist(), bounds)
+    # bounds up to a quarter of the float limit, the largest that maximize_ic trusts the box rule with
+    edge = sys.float_info.max / 4
+    for n in (1, 2, 3, 4):
+        low = rng.choice([-edge, -edge / 2, 0.0, edge / 2], n)
+        high = np.minimum(low + rng.choice([edge / 4, edge, 2 * edge], n), edge)
+        centre = rng.uniform(-2.0, 2.0, n) * edge
+
+        def scaled_bowl(x, centre=centre.tolist()):
+            return sum(((a - c) / edge) ** 2 for a, c in zip(x, centre))
+
+        _same_search(minimize, scaled_bowl, np.where(rng.random(n) < 0.5, low, high).tolist(),
+                     list(zip(low.tolist(), high.tolist())))
+    # past it, inf - inf makes a NaN trial point, and the clip passes it
+    points = []
+    minimize(lambda x: points.append(x) or 0.0, [1.75e308], [(1.75e308, 1.79e308)])
+    assert any(math.isnan(v) for x in points for v in x)
 
 
 def test_simplex_stops_as_scipys_at_the_caps(monkeypatch):

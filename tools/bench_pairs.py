@@ -3,10 +3,11 @@
 Runs ``perfbench/run.py --trace 0`` in N pairs: one run in a ``git worktree``
 of the base commit and one in the working tree around this script, with the
 same seed in both runs of a pair and the side that runs first alternating
-from pair to pair.  Each run's report goes to stderr as it ends.  Then it
-prints, for each end-to-end metric of ``BENCHMARK.json``, both sides'
-median and quartiles and how many pairs the change won, ties counting for
-neither:
+from pair to pair.  Every run lasts the ``run_seconds`` of ``BENCHMARK.json``,
+the length its claim rules are set for.  Each run's report goes to stderr
+as it ends.  Then it prints, for each end-to-end metric of
+``BENCHMARK.json``, both sides' median and quartiles and how many pairs the
+change won, ties counting for neither:
 
     python tools/bench_pairs.py --base HEAD~1 --workload optimize --pairs 10
 
@@ -79,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed; pair i runs seed + i")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
 
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 seed = args.seed + i
                 trees = (base_tree, ROOT) if i % 2 == 0 else (ROOT, base_tree)
-                reports = {tree: run(tree, args.workload, seed, args.seconds) for tree in trees}
+                reports = {tree: run(tree, args.workload, seed, seconds) for tree in trees}
                 pair = (reports[base_tree], reports[ROOT])
                 pairs.append(pair)
                 for side, r in zip(("base", "change"), pair):
@@ -99,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT, check=True)
 
-    print(f"{args.workload}: {len(pairs)} pairs of {args.seconds:g} s, base {args.base} -> working tree")
+    print(f"{args.workload}: {len(pairs)} pairs of {seconds:g} s, base {args.base} -> working tree")
     print("metric  unit  base median [q1, q3]  change median [q1, q3]  change wins  claim")
     for row in summarize(pairs, benchmark["end_to_end"]):
         (b1, b2, b3), (c1, c2, c3) = row["base"], row["change"]
