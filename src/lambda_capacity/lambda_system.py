@@ -30,7 +30,13 @@ modes:
 
 :func:`coherent_information_batch` evaluates many points at once this way;
 :func:`coherent_information_at` is its one-point call.  A call over arrays,
-such as a sweep block, takes both spectra from the trigonometric closed form
+such as a sweep block, first looks at each state's whole stack once: where
+the state splits exactly at every point, its spectra are one diagonal entry
+and the two eigenvalues of a 2x2 block.  At complete decay (gamma_t = inf)
+the atom state's row 3 is zero.  For the symmetric emitter (alpha1 = 1/2)
+the field state's two photon entries are equal, so the photon state
+orthogonal to the one that couples to the vacuum is an eigenvector at that
+value.  Other stacks take their spectra from the trigonometric closed form
 for 3x3 Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)), and from
 LAPACK only where the closed form cannot resolve them: a near-double pair
 next to a small eigenvalue.  A call at one point, such as a simplex step,
@@ -200,7 +206,17 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
 
     The entries are arrays that broadcast to the shape of the matrices, for
     an array of that shape plus (3,), or Python numbers for one matrix, for
-    a list of three floats.  By the trigonometric closed form (Smith,
+    a list of three floats.  An array call needs an array on the diagonal.
+
+    An array call first checks each whole stack, without tolerance, for an
+    exact split that holds at every point: a row whose two off-diagonal
+    entries are all zero, or a23 all zero with a22 equal to a33.  The first
+    gives a_kk and the eigenvalues (p + q)/2 +- hypot((p - q)/2, |h|) of
+    the remaining block [[p, h], [h*, q]].  The second gives a22, with
+    eigenvector (0, a13, -a12), and the eigenvalues of [[a11, n], [n, a22]],
+    n^2 = |a12|^2 + |a13|^2.  Such a stack skips the closed form and LAPACK.
+
+    By the trigonometric closed form (Smith,
     Commun. ACM 4, 168 (1961)), with m = tr A / 3, p^2 = tr (A - m)^2 / 6 and
     r = det(A - m) / (2 p^3) = cos(3 phi), the eigenvalues are
     m + 2 p cos(phi + 2 pi k / 3).  Near a double eigenvalue, r = +-1, the
@@ -223,12 +239,27 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
     LAPACK.
     """
     trace = a11 + a22 + a33
+    point = not isinstance(trace, np.ndarray)
+    if not point:
+        # an exact split at every point of the stack, as (diagonal entry, 2x2 block p, q, |h|)
+        zero12, zero13, zero23 = not np.any(a12), not np.any(a13), not np.any(a23)
+        if zero12 and zero13:
+            split = a11, a22, a33, abs(a23)
+        elif zero12 and zero23:
+            split = a22, a11, a33, abs(a13)
+        elif zero13 and zero23:
+            split = a33, a11, a22, abs(a12)
+        elif zero23 and np.array_equal(a22, a33):
+            split = a22, a11, a22, np.hypot(abs(a12), abs(a13))
+        else:
+            split = None
+        if split is not None:
+            return _split_stack(np.broadcast(a11, a22, a33, a12, a13, a23).shape, *split)
     m = trace / 3.0
     b11, b22, b33 = a11 - m, a22 - m, a33 - m
     s12, s13, s23 = (a12 * a12.conjugate()).real, (a13 * a13.conjugate()).real, (a23 * a23.conjugate()).real
     p2 = (b11 * b11 + b22 * b22 + b33 * b33) / 6.0 + (s12 + s13 + s23) / 3.0
     det = b11 * b22 * b33 - b11 * s23 - b22 * s13 - b33 * s12 + 2.0 * (a12 * a23 * a13.conjugate()).real
-    point = not isinstance(det, np.ndarray)
     sqrt, cos, arccos, ratio = _POINT_ROOT_OPS if point else _ARRAY_ROOT_OPS
     p = sqrt(p2)
     r = ratio(det, 2.0 * p * p2)
@@ -254,6 +285,17 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
         mean, half = 0.5 * (p + q), math.hypot(0.5 * (p - q), abs(h))
         return sorted((diagonal, mean - half, mean + half))
     return _lapack_eigvalsh3((), a11, a22, a33, a12, a13, a23).tolist()
+
+
+def _split_stack(shape, diagonal, p, q, h) -> np.ndarray:
+    """Ascending eigenvalues, ``shape + (3,)``, of matrices split into ``diagonal`` and [[p, h], [h, q]], h >= 0."""
+    mean, half = 0.5 * (p + q), np.hypot(0.5 * (p - q), h)
+    low, high = mean - half, mean + half
+    values = np.empty(shape + (3,))
+    np.minimum(diagonal, low, out=values[..., 0])
+    np.clip(diagonal, low, high, out=values[..., 1])
+    np.maximum(diagonal, high, out=values[..., 2])
+    return values
 
 
 def _lapack_eigvalsh3(shape, a11, a22, a33, a12, a13, a23) -> np.ndarray:

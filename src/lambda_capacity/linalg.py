@@ -49,15 +49,30 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
         raise NegativeProbability(f"probability {smallest:.3e} below -{PROBABILITY_CLAMP:.0e}")
     if lowest < 0.0:
         rows = np.where(rows < 0.0, 0.0, rows)
-    total = rows.sum(axis=1)
+    total = _row_sums(rows)
     off = np.abs(total - 1.0) > NORMALIZATION_TOL
     if off.any():
         raise NotNormalized(f"probabilities sum to {float(total[np.argmax(off)])!r}, expected 1")
     # log2 at the positive entries only; a zero entry contributes 0
     logs = np.log2(rows, out=np.zeros_like(rows), where=rows > 0.0)
-    entropy = -(rows * logs).sum(axis=1)
+    entropy = -_row_sums(rows * logs)
     entropy = np.where(entropy > 0.0, entropy, 0.0)
     return float(entropy[0]) if p.ndim <= 1 else entropy.reshape(p.shape[:-1])
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=1)`` of a stack (N, n), bit for bit for n < 8, by adding its columns in turn.
+
+    numpy's reduction over a short last axis pays for every row, so on the
+    evaluator's (N, 3) spectra this is several times faster.  A stack of
+    fewer vectors than entries keeps numpy's reduction.
+    """
+    if rows.shape[1] > len(rows):
+        return rows.sum(axis=1)
+    total = np.zeros(len(rows))
+    for column in rows.T:
+        total += column
+    return total
 
 
 def _float_entropy(row: list[float]) -> float | None:

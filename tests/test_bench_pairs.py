@@ -63,3 +63,27 @@ def test_summary_claims_only_past_the_base_spread(bench_pairs):
     # one pair: its values are the quartiles
     row = bench_pairs.summarize(pairs[:1], END_TO_END)[1]
     assert row["base"] == (0.01, 0.01, 0.01)
+
+
+def test_summary_holds_each_median_to_its_bound(bench_pairs):
+    bounds = {m["name"]: m["bound"] for m in END_TO_END}
+    assert bounds == {"setup_s": 0.25, "call_s": 0.25, "points_per_s": 0.25, "peak_rss_mb": 0.1}
+    # medians whose bounds are exact in binary floats
+    base = dict(setup_s=0.5, call_s=0.015625, points_per_s=4e5, peak_rss_mb=80.0)
+    cases = [
+        # (the change's values, the metrics past their bound): worse by under, at and past each bound
+        (dict(setup_s=0.62, call_s=0.0195, points_per_s=3.1e5, peak_rss_mb=87.9), set()),
+        (dict(setup_s=0.625, call_s=0.01953125, points_per_s=3e5, peak_rss_mb=88.0), set()),
+        (dict(setup_s=0.63, call_s=0.0196, points_per_s=2.9e5, peak_rss_mb=88.1),
+         {"setup_s", "call_s", "points_per_s", "peak_rss_mb"}),
+        # better in every metric, by any amount
+        (dict(setup_s=0.1, call_s=0.001, points_per_s=4e7, peak_rss_mb=20.0), set()),
+    ]
+    for values, past in cases:
+        pairs = [(bench_pairs.report(_stdout(**base)), bench_pairs.report(_stdout(**values)))] * 3
+        rows = bench_pairs.summarize(pairs, END_TO_END)
+        assert {row["name"] for row in rows if not row["within_bound"]} == past
+    # the medians decide, not single pairs: one pair far past the bound, two pairs within it
+    pairs = [(bench_pairs.report(_stdout(**base)), bench_pairs.report(_stdout(**dict(base, call_s=call_s))))
+             for call_s in (0.015625, 0.016, 0.1)]
+    assert bench_pairs.summarize(pairs, END_TO_END)[1]["within_bound"]

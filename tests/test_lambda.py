@@ -22,6 +22,7 @@ from lambda_capacity.lambda_system import (
     _states,
 )
 from lambda_capacity.linalg import NegativeProbability, NotNormalized, entropy_bits
+from lambda_capacity.sweep import FIGURES, figure_preset, grid_sweep
 from oracle import (
     apply_channel,
     closed_form_channel,
@@ -435,6 +436,103 @@ def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
     coupled = matrix(0, 0.0, [0.002, 0.998], 1.01 * eps)
     assert _eigvalsh3(*entries(coupled)) == np.linalg.eigvalsh(coupled, UPLO="U").tolist()
     assert shapes == [(3, 3), (3, 3)]
+
+
+def test_array_spectra_split_exact_structures_without_lapack(monkeypatch):
+    rng = np.random.default_rng(2615)
+    eps = np.finfo(float).eps
+    lapack_shapes, split_shapes = [], []
+    lapack, split_stack = lambda_system._lapack_eigvalsh3, lambda_system._split_stack
+
+    def lapack_spy(shape, *entries):
+        lapack_shapes.append(shape)
+        return lapack(shape, *entries)
+
+    def split_spy(shape, *block):
+        split_shapes.append(shape)
+        return split_stack(shape, *block)
+
+    monkeypatch.setattr(lambda_system, "_lapack_eigvalsh3", lapack_spy)
+    monkeypatch.setattr(lambda_system, "_split_stack", split_spy)
+
+    def diagonal(shape):
+        return rng.uniform(0.2, 1.0, shape)
+
+    def coupling(shape):
+        return rng.uniform(0.0, 0.2, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
+
+    def spectra(entries, shape):
+        """The array route's spectra of the matrices with these entries, and LAPACK's as a reference."""
+        values = _eigvalsh3(*entries)
+        assert values.shape == shape + (3,)
+        a = np.zeros(shape + (3, 3), dtype=complex)
+        for (i, j), x in zip([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], np.broadcast_arrays(*entries)):
+            a[..., i, j], a[..., j, i] = x, np.conj(x)
+        return values, np.linalg.eigvalsh(a), np.abs(np.trace(a, axis1=-2, axis2=-1))
+
+    zero = np.zeros((257,), dtype=complex)
+    signed_zero = np.full((257,), complex(-0.0, -0.0))  # complete decay's row 3 may hold -0.0
+    photon, r2 = diagonal(257), diagonal((5, 9))
+    # (entries, shape, a change at one point that breaks the split: (index in entries, value added there))
+    stacks = [
+        # each row zero off the diagonal at every point, as arrays, -0.0 or a Python zero
+        ((diagonal(257), diagonal(257), diagonal(257), zero, signed_zero, coupling(257)), (257,), (3, 0.05)),
+        ((diagonal(257), diagonal(257), diagonal(257), zero, coupling(257), 0j), (257,), (5, 0.05j)),
+        ((diagonal(257), diagonal(257), 0.0, coupling(257), signed_zero, zero), (257,), (4, 1e-3)),
+        # the field state's arrow at asym = 1: a23 = 0 and a22 = a33; its a12, a13 are real
+        ((diagonal(257), photon, photon.copy(), np.abs(coupling(257)), np.abs(coupling(257)), 0.0), (257,),
+         (2, 1e-3)),
+        # R2 arrows with complex a12 and a13, on a 2-D stack
+        ((diagonal((5, 9)), r2, r2.copy(), coupling((5, 9)), coupling((5, 9)), np.zeros((5, 9))), (5, 9),
+         (5, 0.05j)),
+        # a diagonal stack: a change at one entry leaves a row decoupled
+        ((diagonal(257), diagonal(257), diagonal(257), zero, zero, zero), (257,), None),
+    ]
+    for entries, shape, change in stacks:
+        values, reference, trace = spectra(entries, shape)
+        assert (np.diff(values, axis=-1) >= 0.0).all()
+        assert (np.abs(values - reference).max(axis=-1) <= 4.0 * eps * trace).all()
+        assert (split_shapes, lapack_shapes) == ([shape], [])
+        split_shapes.clear()
+        if change is None:
+            continue
+        # one point that breaks the structure sends the whole stack to the closed form
+        index, value = change
+        broken = list(np.broadcast_arrays(*entries))
+        broken[index] = broken[index].astype(complex if index > 2 else float)
+        broken[index][(0,) * len(shape)] += value
+        values, reference, _ = spectra(broken, shape)
+        assert np.abs(values - reference).max() <= 1e-13
+        assert split_shapes == []
+        lapack_shapes.clear()
+
+
+def test_preset_surfaces_match_lapack_spectra(monkeypatch):
+    split_shapes = []
+    split_stack = lambda_system._split_stack
+
+    def split_spy(shape, *block):
+        split_shapes.append(shape)
+        return split_stack(shape, *block)
+
+    monkeypatch.setattr(lambda_system, "_split_stack", split_spy)
+    surfaces, splits = {}, {}
+    for figure in FIGURES:
+        surfaces[figure] = grid_sweep(figure_preset(figure)).values
+        splits[figure] = len(split_shapes)
+        split_shapes.clear()
+    # the exact splits take both states at complete decay with asym = 1, only the field where gamma_t is swept,
+    # and only the atom where asym is
+    assert splits == {"fig1a": 2, "fig1b": 1, "fig2a": 2, "fig2b": 1}
+
+    def lapack(*entries):
+        return lambda_system._lapack_eigvalsh3(np.broadcast(*entries).shape, *entries)
+
+    monkeypatch.setattr(lambda_system, "_eigvalsh3", lapack)
+    for figure, values in surfaces.items():
+        reference = grid_sweep(figure_preset(figure)).values
+        assert np.isfinite(reference).all()
+        assert np.abs(values - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("dtype", [complex, float])

@@ -98,3 +98,28 @@ def test_small_stacks_in_floats_match_the_numpy_route():
         assert _float_entropy(row) is None
         with pytest.raises(ValueError):
             entropy_bits(np.array(row))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_entropy_sums_columns_bit_for_bit(width):
+    rng = np.random.default_rng(19 + width)
+    for shape in ((64, width), (3, 7, width), (2, width)):
+        p = rng.random(shape)
+        if width > 1:  # zero entries
+            p[..., 0] = np.where(rng.random(shape[:-1]) < 0.3, 0.0, p[..., 0])
+        p /= p.sum(axis=-1, keepdims=True)
+        logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+        reference = -(p * logs).sum(axis=-1)
+        reference = np.where(reference > 0.0, reference, 0.0)
+        assert np.array_equal(entropy_bits(p), reference)
+        # the normalization check sums each vector as numpy does: it reports the same sum
+        off = p * 1.5
+        with pytest.raises(NotNormalized) as error:
+            entropy_bits(off)
+        assert str(error.value) == f"probabilities sum to {float(off.reshape(-1, width)[0].sum())!r}, expected 1"
+
+
+def test_entropy_of_empty_vectors_is_not_normalized():
+    for p in (np.array([]), np.zeros((3, 0))):
+        with pytest.raises(NotNormalized, match="probabilities sum to 0.0, expected 1"):
+            entropy_bits(p)
