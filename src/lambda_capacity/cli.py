@@ -238,10 +238,10 @@ def format_csv(result: SweepResult) -> str:
     # each axis value is formatted once and reused on every row it labels
     labels = [[_fmt(x) + "," for x in axis.values().tolist()] for axis in result.spec.axes]
     prefixes = map("".join, itertools.product(*labels))
-    values = result.values.ravel().tolist()
-    # every row in one formatting operation, then _fmt's sign rule on the value column
-    body = ("%s%.6f\n" * len(values)) % tuple(itertools.chain.from_iterable(zip(prefixes, values)))
-    body = body.replace(",-0.000000\n", ",0.000000\n")
+    # every row in one formatting operation, its labels already in the template, then _fmt's sign rule on the value
+    # column; a label is a formatted number, with no % in it
+    template = "%.6f\n".join(prefixes) + "%.6f\n"
+    body = (template % tuple(result.values.ravel().tolist())).replace(",-0.000000\n", ",0.000000\n")
     at = ", ".join(f"{name}={_fmt(result.argmax[name])}" for name in names)
     return ",".join(names + ["Ic"]) + "\n" + body + f"# max Ic={_fmt(result.max_value)} at {at}\n"
 
@@ -252,24 +252,26 @@ def _json_list(items, depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _json_row(row: list, depth: int) -> str:
-    # without indent json.dumps runs the C encoder, which separates items with ", "
-    return _json_list(json.dumps(row)[1:-1].split(", "), depth)
-
-
 def format_grid_json(result: SweepResult) -> str:
+    """The grid as the JSON document ``json.dumps(indent=2)`` writes, with "inf" for an infinite axis value.
+
+    The grid's values are written through one ``%r`` template in
+    ``_json_list``'s layout.  ``%r`` spells a float as json does only when
+    it is finite; grid values are, because :func:`grid_sweep` raises on an
+    unphysical point rather than return -inf there.
+    """
     doc = {
         "axes": [
             {"name": axis.name, "values": axis.values().tolist()} for axis in result.spec.axes
         ],
-        "values": None,  # a placeholder: the grid is encoded row by row below
+        "values": None,  # a placeholder: the grid is encoded below
         "max": {"Ic": result.max_value, "at": result.argmax},
     }
-    values = result.values.tolist()
-    if result.values.ndim == 1:
-        grid = _json_row(values, 1)
-    else:
-        grid = _json_list((_json_row(row, 2) for row in values), 1)
+    # one %r per value, nested from the innermost axis out as json.dumps(indent=2) nests the rows
+    template = "%r"
+    for depth in reversed(range(result.values.ndim)):
+        template = _json_list([template] * result.values.shape[depth], depth + 1)
+    grid = template % tuple(result.values.ravel().tolist())
     # no axis has null values, so the first "values": null is the placeholder
     return json.dumps(_jsonable(doc), indent=2).replace('"values": null', '"values": ' + grid, 1) + "\n"
 

@@ -36,7 +36,8 @@ def entropy_bits(probabilities: np.ndarray) -> float | np.ndarray:
     for the first such vector.
     """
     p = np.asarray(probabilities, dtype=float)
-    rows = np.atleast_2d(p) if p.ndim <= 2 else p.reshape(-1, p.shape[-1])
+    # the count of vectors is spelled out: reshape cannot infer it when the vectors are empty
+    rows = np.atleast_2d(p) if p.ndim <= 2 else p.reshape(math.prod(p.shape[:-1]), p.shape[-1])
     # one min and one max over the whole stack find NaN, Inf and negative
     # entries; only a failed check looks for the first bad vector
     lowest, highest = rows.min(initial=0.0), rows.max(initial=0.0)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult
 
 from .channel import DensityMatrix, NotDensityMatrix, _coherence, _qubit_checks, density_mask, qubit_state
-from .lambda_system import LambdaParams, coherent_information_batch, params_mask
+from .lambda_system import LambdaParams, _states, coherent_information_batch, params_mask
 
 # each parameter's default and --help text, in flag order, the input state last
 PARAMETERS: dict[str, tuple[float, str]] = {
@@ -209,19 +209,23 @@ def _box_inside(base: Mapping[str, float], box: Mapping[str, tuple[float, float]
     return bool(np.all(_params_valid(columns))), bool(state)
 
 
-def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]):
+def _grid_blocks(
+    base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray], flat: np.ndarray | None = None,
+):
     """Yield (start, ic) over the row-major grid of ``axis_values``, BLOCK points at a time.
 
-    ``ic`` holds I_c at the block's points, from flat index ``start`` on; a
-    point takes its axis values and ``base`` for the other parameters.  A
+    ``flat`` holds the flat indices of the points to evaluate, by default
+    the whole grid in order; ``ic`` holds I_c at ``flat[start:start + BLOCK]``.
+    A point takes its axis values and ``base`` for the other parameters.  A
     block passes its axes as arrays and the fixed parameters as numbers.
     Unphysical points are not evaluated and read -inf.
     """
     shape = tuple(len(values) for values in axis_values)
-    size = math.prod(shape)
+    if flat is None:
+        flat = np.arange(math.prod(shape))
     numbers = {name: float(value) for name, value in base.items()}
-    for start in range(0, size, BLOCK):
-        index = np.unravel_index(np.arange(start, min(start + BLOCK, size)), shape)
+    for start in range(0, len(flat), BLOCK):
+        index = np.unravel_index(flat[start : start + BLOCK], shape)
         axes = {name: values[i] for name, values, i in zip(names, axis_values, index)}
         valid = _valid({**numbers, **axes})
         ic = np.full(len(valid), -np.inf)
@@ -230,13 +234,75 @@ def _grid_blocks(base: Mapping[str, float], names: Sequence[str], axis_values: S
         yield start, ic
 
 
-def _block_ic(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | float:
-    """I_c at the points of ``columns``, unvalidated: arrays of one shape and numbers they share, or numbers alone."""
+def _pruned_grid(base: Mapping[str, float], names: Sequence[str], axis_values: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat grid of :func:`_grid_blocks`, except that a point which cannot hold its maximum also reads -inf.
+
+    Each physical point gets the upper bound on I_c of :func:`_ic_bound`.
+    The first pass evaluates the BLOCK // 16 points of highest bound; each
+    later pass drops the points whose bound + SIMPLEX_TOL is below the best
+    value so far and evaluates up to BLOCK of the rest, highest bound first.
+    A dropped point's I_c exceeds its bound by roundoff at most, far less
+    than SIMPLEX_TOL, so it lies below a value already evaluated: the
+    grid's maximum and its first index are those of the grid with every
+    point evaluated.
+    """
+    shape = tuple(len(values) for values in axis_values)
+    # each axis spans a dimension of its own: the checks and the bound broadcast from the axes to the grid
+    columns = {**base, **dict(zip(names, np.meshgrid(*axis_values, indexing="ij", sparse=True)))}
+    order = np.flatnonzero(np.broadcast_to(_state_valid(columns) & _params_valid(columns), shape))
+    bound = np.broadcast_to(_ic_bound(columns), shape).ravel()[order]
+
+    grid = np.full(math.prod(shape), -np.inf)
+    # a pass costs about as much as evaluating 300 more points; most grids need only the first
+    size = BLOCK // 16
+    running = np.arange(len(order))
+    while running.size:
+        chosen = running if running.size <= size else running[np.argpartition(-bound[running], size)[:size]]
+        points = order[chosen]
+        for offset, ic in _grid_blocks(base, names, axis_values, points):
+            grid[points[offset : offset + len(ic)]] = ic
+        bound[chosen] = np.nan  # evaluated: out of the running
+        running = np.flatnonzero(bound + SIMPLEX_TOL >= grid.max())
+        size = BLOCK
+    return grid
+
+
+def _ic_bound(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | float:
+    """An upper bound on I_c = S(field) - S(atom) at the points of ``columns``, without a spectrum: the smaller of two.
+
+    I_c never exceeds the input's entropy S(rho) (Schumacher and Nielsen,
+    PRA 54, 2629 (1996)), the binary entropy of the state's lowest
+    eigenvalue, which :func:`_qubit_checks` computes.  And S(field) is at
+    most the Shannon entropy of the field state's diagonal (a spectrum
+    majorizes the diagonal), while S(atom) is at least its Renyi-2 entropy
+    -log2 tr(atom^2), so I_c <= H(diagonal of the field) + log2 tr(atom^2),
+    on the entries of :func:`_states`.  Elementwise, like :func:`_block_ic`;
+    at an unphysical point the value means nothing and may be NaN.
+    """
+    with np.errstate(all="ignore"):
+        lowest = _qubit_checks(*(columns[name] for name in STATE_NAMES))[-1][1]
+        field, (a11, a22, a33, a12, a13, a23) = _states(*_batch_args(columns))
+        purity = a11 * a11 + a22 * a22 + a33 * a33 + 2.0 * (abs(a12) ** 2 + abs(a13) ** 2 + abs(a23) ** 2)
+        return np.minimum(-_plogp(lowest) - _plogp(1.0 - lowest), -sum(map(_plogp, field[:3])) + np.log2(purity))
+
+
+def _plogp(p):
+    """p log2(p) elementwise, 0 where p <= 0; call it under ``np.errstate(all="ignore")``."""
+    return np.where(p > 0.0, p * np.log2(p), 0.0)
+
+
+def _batch_args(columns: Mapping[str, np.ndarray | float]) -> tuple:
+    """The arguments of :func:`coherent_information_batch` and :func:`_states` at the points of ``columns``."""
     asym, rho11 = columns["asym"], columns["rho11"]
-    return coherent_information_batch(
+    return (
         columns["theta"], columns["chi"], columns["phi"], columns["gamma_t"], asym / (asym + 1.0),
         rho11, 1.0 - rho11, _coherence(columns["re_rho12"], columns["im_rho12"]),
     )
+
+
+def _block_ic(columns: Mapping[str, np.ndarray | float]) -> np.ndarray | float:
+    """I_c at the points of ``columns``, unvalidated: arrays of one shape and numbers they share, or numbers alone."""
+    return coherent_information_batch(*_batch_args(columns))
 
 
 def grid_sweep(spec: SweepSpec) -> SweepResult:
@@ -286,6 +352,15 @@ def maximize_ic(
     Parameter combinations that imply an unphysical input state score -inf
     and are thereby rejected.  Degenerate bounds (lo == hi) pin a parameter
     without consuming a search dimension.
+
+    A coarse grid of more than one block that varies the input state is
+    pruned (:func:`_pruned_grid`) by an upper bound on I_c that needs no
+    spectrum (:func:`_ic_bound`): its points are taken from the highest
+    bound down, and a point whose bound is below the best value so far by
+    more than SIMPLEX_TOL reads -inf unevaluated.  Such a point cannot be
+    the grid's maximum, so the seed, and the search, are those of the grid
+    with every point evaluated.  The simplex steps are never pruned: their
+    values steer the search.
 
     The validity rule is decided once for the box of the searched
     parameters, on its corners (:func:`_box_inside`).  :func:`minimize`
@@ -355,7 +430,11 @@ def maximize_ic(
         return Optimum(point=dict(pinned), value=value, iterations=0)
 
     coarse_axes = [np.linspace(*bounds[name], COARSE_POINTS) for name in active]
-    coarse = np.concatenate([block for _, block in _grid_blocks(base, active, coarse_axes)])
+    # a grid of one block pays more for the bound and its passes than it saves; a stateless grid is not pruned yet
+    if COARSE_POINTS ** len(active) > BLOCK and any(name in STATE_NAMES for name in active):
+        coarse = _pruned_grid(base, active, coarse_axes)
+    else:
+        coarse = np.concatenate([block for _, block in _grid_blocks(base, active, coarse_axes)])
     best = int(np.argmax(coarse))
     if coarse[best] == -np.inf:
         raise InvalidSpec(f"every coarse-grid point over {', '.join(active)} is unphysical")

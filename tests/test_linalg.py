@@ -120,6 +120,6 @@ def test_entropy_sums_columns_bit_for_bit(width):
 
 
 def test_entropy_of_empty_vectors_is_not_normalized():
-    for p in (np.array([]), np.zeros((3, 0))):
+    for p in (np.array([]), np.zeros((3, 0)), np.zeros((2, 4, 0)), np.zeros((1, 2, 3, 0))):
         with pytest.raises(NotNormalized, match="probabilities sum to 0.0, expected 1"):
             entropy_bits(p)

@@ -32,6 +32,7 @@ from lambda_capacity.sweep import (
     STATE_NAMES,
     InvalidSpec,
     InvalidStateAtPoint,
+    NoConvergence,
     SweepSpec,
     UnknownFigure,
     _block_ic,
@@ -535,6 +536,146 @@ def test_steps_check_only_what_the_box_corners_leave_open(counted_steps, monkeyp
             patch.setattr(sweep, "_box_inside", lambda base, box: (False, False))
             assert best == outcome(free, bounds, fixed)
         counted_steps.clear()
+
+
+# ------------------------------------------ the coarse seed's entropy bound
+
+
+def _full_grid(base, names, axis_values):
+    """The coarse grid with every point evaluated: the seed before its bound on I_c prunes it."""
+    return np.concatenate([block for _, block in _grid_blocks(base, names, axis_values)])
+
+
+def _search_outcome(free, bounds, fixed):
+    """``maximize_ic``'s result, or the class, message and best point of what it raised, as a repr: bit for bit."""
+    try:
+        return repr(maximize_ic(free, bounds, fixed))
+    except (InvalidSpec, NoConvergence) as err:
+        return repr((type(err).__name__, str(err), getattr(err, "best", None)))
+
+
+# the symmetric emitter; a noiseless channel, on which I_c = S(rho) up to roundoff; a partial decay
+CHANNELS = ({}, {"asym": 0.0}, {"phi": 0.7, "gamma_t": 1.3, "asym": 0.4})
+
+
+@st.composite
+def coarse_problems(draw):
+    """(free, bounds, fixed): a box over 1-4 parameters, most often four with a state number among them."""
+    count = draw(st.sampled_from([1, 2, 3, 4, 4, 4]))
+    free = draw(st.lists(st.sampled_from(list(BOX_RANGES)), min_size=count, max_size=count, unique=True))
+    bounds = {}
+    for name in free:
+        centre = draw(st.floats(*BOX_RANGES[name]))
+        half = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.2, 0.6]))
+        bounds[name] = (centre - half, centre + half)
+    fixed = dict(draw(st.sampled_from(CHANNELS)))
+    for name in STATE_NAMES:
+        fixed[name] = draw(st.sampled_from([0.0, 0.1, 0.5]) | st.floats(*BOX_RANGES[name]))
+    return free, bounds, {name: value for name, value in fixed.items() if name not in bounds}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coarse_problems())
+# the benchmark's 4-parameter problem, seed 1: two passes, 625 of its 6,561 coarse points evaluated
+@example((["theta", "chi", "asym", "rho11"],
+          {"theta": (0.0, TWO_PI), "chi": (0.0, math.pi / 2), "asym": (0.0, 2.0), "rho11": (0.0, 1.0)},
+          {"phi": 0.3116063297162208, "gamma_t": 1.1929137927014786, "re_rho12": 0.0, "im_rho12": 0.0}))
+# free coherence in a box that leaves the disc |rho12|^2 <= rho11 (1 - rho11): some points unphysical
+@example((["theta", "rho11", "re_rho12", "im_rho12"],
+          {"theta": (0.0, TWO_PI), "rho11": (0.1, 0.9), "re_rho12": (-0.5, 0.5), "im_rho12": (-0.5, 0.5)},
+          {"chi": 1.2, "gamma_t": 2.5, "asym": 0.6}))
+# a noiseless channel, on which I_c meets its bound up to roundoff: without the margin SIMPLEX_TOL a point whose I_c
+# is the larger by roundoff is dropped
+@example((["phi", "gamma_t", "theta", "rho11"],
+          {"phi": (-1.0, 1.0), "gamma_t": (40.0, 60.0), "theta": (math.pi - 1e-9, math.pi + 1e-9),
+           "rho11": (-0.12308811608136683, 0.7832218709460759)},
+          {"asym": 0.0}))
+# no coarse point is a state
+@example((["theta", "chi", "asym", "re_rho12"],
+          {"theta": (0.0, TWO_PI), "chi": (0.0, math.pi / 2), "asym": (0.0, 2.0), "re_rho12": (0.6, 0.9)},
+          {"rho11": 0.1}))
+def test_pruned_seed_searches_as_the_full_grid_does(problem):
+    free, bounds, fixed = problem
+    pruned = _search_outcome(free, bounds, fixed)
+    with mock.patch.object(sweep, "_pruned_grid", _full_grid):
+        assert _search_outcome(free, bounds, fixed) == pruned
+
+
+class _Seeded(Exception):
+    """Raised in place of the simplex search, once the coarse seed is chosen."""
+
+
+def test_pruned_seed_evaluates_only_points_that_can_hold_the_maximum(monkeypatch):
+    passes, bounds_taken = [], []
+    grid_blocks, states = sweep._grid_blocks, sweep._states
+
+    def counted_blocks(base, names, axis_values, flat=None):
+        passes.append(None if flat is None else len(flat))
+        return grid_blocks(base, names, axis_values, flat)
+
+    def counted_states(*args):
+        bounds_taken.append(None)
+        return states(*args)
+
+    def seeded(f, x0, bounds):
+        raise _Seeded
+
+    monkeypatch.setattr(sweep, "_grid_blocks", counted_blocks)
+    monkeypatch.setattr(sweep, "_states", counted_states)
+    monkeypatch.setattr(sweep, "minimize", seeded)
+
+    def seed_cost(free, bounds, fixed):
+        # (the points of each pass over the grid, None for the whole grid; bounds computed) by one search's seed
+        passes.clear()
+        bounds_taken.clear()
+        with pytest.raises(_Seeded):
+            maximize_ic(list(free), bounds, fixed)
+        return passes[:], len(bounds_taken)
+
+    def problems(seed):
+        found = _benchmark_workloads(monkeypatch).optimize_problems(np.random.default_rng(seed))
+        assert [problem.label for problem in found][2:] == ["theta,chi,gamma_t", "theta,chi,asym,rho11"]
+        return [(p.free, p.free, {**p.fixed, **(p.state or {})}) for p in found]
+
+    # the 4-parameter grid: the first pass, the 128 points of highest bound, holds a value above every other bound
+    _, _, three, four = problems(2)
+    assert seed_cost(*four) == ([128], 1)
+    # seed 1's emitter (gamma_t = 1.19) keeps its best coarse value at 0.32, which 497 more bounds reach
+    assert seed_cost(*problems(1)[3]) == ([128, 497], 1)
+    # no free state number, or a grid of one block: every point, and no bound
+    assert seed_cost(*three) == ([None], 0)
+    state_grid = (["rho11", "re_rho12"], {"rho11": (0.2, 0.8), "re_rho12": (-0.2, 0.2)}, {"theta": 2.0})
+    assert seed_cost(*state_grid) == ([None], 0)
+
+
+def test_ic_bound_holds_at_physical_points():
+    rng = np.random.default_rng(27)
+    n = 20_000
+
+    def draw(low, high, *edges):
+        # uniform values, a quarter of them replaced by the range's edge cases
+        values = rng.uniform(low, high, n)
+        edge = rng.random(n) < 0.25
+        values[edge] = rng.choice([low, high, *edges], np.count_nonzero(edge))
+        return values
+
+    rho11 = draw(0.0, 1.0, 0.5)
+    # coherence up to the edge of the disc |rho12|^2 <= rho11 (1 - rho11): pure states included
+    radius = np.sqrt(rho11 * (1.0 - rho11)) * draw(0.0, 1.0)
+    angle = rng.uniform(0.0, TWO_PI, n)
+    columns = {
+        "theta": draw(0.0, TWO_PI, math.pi, math.pi / 2), "chi": draw(0.0, math.pi / 2), "phi": draw(-math.pi, math.pi),
+        "gamma_t": draw(0.0, 8.0, math.inf, 50.0), "asym": draw(0.0, 2.0, 1.0),
+        "rho11": rho11, "re_rho12": radius * np.cos(angle), "im_rho12": radius * np.sin(angle),
+    }
+    assert np.all(sweep._valid(columns))
+    ic, bound = _block_ic(columns), sweep._ic_bound(columns)
+    # the margin of the pruned seed is SIMPLEX_TOL; the bound must hold to far less
+    assert np.max(ic - bound) < 1e-12
+    # it is attained: a noiseless channel (complete decay into one mode, a pi pulse) sends rho whole, I_c = S(rho)
+    noiseless = {**columns, "theta": math.pi, "chi": math.pi / 2, "gamma_t": math.inf, "asym": 0.0, "re_rho12": 0.0,
+                 "im_rho12": 0.0}
+    assert np.allclose(_block_ic(noiseless), sweep._ic_bound(noiseless), rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------ simplex against scipy's

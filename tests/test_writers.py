@@ -82,3 +82,19 @@ def test_signed_zero_rows_print_unsigned():
         "0.666667,0.000000",
         "1.000000,1.500000",
     ]
+
+
+def test_grid_json_spells_finite_values_as_json_does():
+    # format_grid_json writes each value with %r, which is json's spelling of a finite float; the extremes of the
+    # float range, a negative zero and the switch to exponent notation, next to plain values
+    edges = [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 1e16, 9999999999999998.0, 1e-5,
+             1.0000000000000002e-4, 0.1 + 0.2, -1.0]
+    result = _hand_built((Axis("theta", 0.0, 1.0, 2), Axis("chi", 0.0, 1.0, 5)), edges)
+    assert format_grid_json(result) == reference_grid_json(result)
+    assert json.loads(format_grid_json(result))["values"] == [edges[:5], edges[5:]]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in RESULTS if not name.startswith(("signed", "negative"))))
+def test_swept_grids_hold_only_finite_values(name):
+    # the writers' %r spelling needs finite values: a sweep raises at an unphysical point rather than write -inf
+    assert np.all(np.isfinite(RESULTS[name]().values))

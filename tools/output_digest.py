@@ -1,4 +1,4 @@
-"""Digest of the command line's output over a fixed corpus of 373 calls.
+"""Digest of the command line's output over a fixed corpus of 377 calls.
 
 Prints one line per ``cli.main`` call: its label, its exit code, and the
 sha256 of its stdout and of its stderr.  Run it on two trees and diff the
@@ -15,7 +15,13 @@ source so that nothing is written under ``perfbench/``:
 * ``compute`` and ``validate`` at the 80 cold-start points of seeds 1-10, in
   both formats, with decay parameters in a config file and the rest as
   flags, as the benchmark passes them (320 calls);
-* ``--help`` of each of the five commands (5 calls).
+* ``--help`` of each of the five commands (5 calls);
+* four optimize problems that the benchmark does not draw, with free
+  coherence or with a box that leaves the physical region; three of them
+  have four free parameters, a state number among them (4 calls).
+
+The last four calls come after the others, so that a digest of a tree
+without them still lines up with the first 373 lines.
 """
 
 from __future__ import annotations
@@ -44,6 +50,36 @@ def _from_source(name: str, path: Path) -> types.ModuleType:
     sys.modules[name] = module
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+# label -> optimize config: free coherence, or boxes past the disc |rho12|^2 <= rho11 (1 - rho11) or rho11 in [0, 1]
+EXTRA_OPTIMIZE = {
+    "theta,rho11,re_rho12,im_rho12 past the disc": {
+        "params": {"chi": 1.2, "gamma_t": 2.5, "asym": 0.6},
+        "optimize": {"free": ["theta", "rho11", "re_rho12", "im_rho12"],
+                     "bounds": {"theta": [0.0, 2.0 * math.pi], "rho11": [0.1, 0.9], "re_rho12": [-0.5, 0.5],
+                                "im_rho12": [-0.5, 0.5]}},
+    },
+    "chi,asym,re_rho12,im_rho12 inside": {
+        "params": {"theta": 2.8, "phi": -0.4, "gamma_t": "inf"},
+        "input_state": {"rho11": 0.3},
+        "optimize": {"free": ["chi", "asym", "re_rho12", "im_rho12"],
+                     "bounds": {"chi": [0.0, math.pi / 2], "asym": [0.0, 2.0], "re_rho12": [-0.2, 0.3],
+                                "im_rho12": [-0.3, 0.2]}},
+    },
+    "theta,asym,rho11,re_rho12 past rho11 = 1": {
+        "params": {"chi": 1.4, "phi": 0.9, "gamma_t": 4.0},
+        "optimize": {"free": ["theta", "asym", "rho11", "re_rho12"],
+                     "bounds": {"theta": [0.0, 2.0 * math.pi], "asym": [0.0, 2.0], "rho11": [0.0, 1.2],
+                                "re_rho12": [-0.3, 0.3]}},
+    },
+    "theta,chi,re_rho12 past the disc": {
+        "params": {"gamma_t": 3.0, "asym": 0.8},
+        "input_state": {"rho11": 0.2, "im_rho12": 0.1},
+        "optimize": {"free": ["theta", "chi", "re_rho12"],
+                     "bounds": {"theta": [0.0, 2.0 * math.pi], "chi": [0.0, math.pi / 2], "re_rho12": [-0.6, 0.6]}},
+    },
+}
 
 
 def _config(directory: Path, name: str, doc: dict) -> str:
@@ -76,6 +112,8 @@ def _calls(workloads: types.ModuleType, directory: Path):
                     yield f"{command} {seed}.{k} {fmt}", [command, "--config", config, "--format", fmt, *flags]
     for command in cli.COMMANDS:
         yield f"{command} --help", [command, "--help"]
+    for k, (label, doc) in enumerate(EXTRA_OPTIMIZE.items()):
+        yield f"optimize {label}", ["optimize", "--config", _config(directory, f"opt-extra-{k}", doc)]
 
 
 def main() -> None:
