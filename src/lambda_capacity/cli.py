@@ -236,11 +236,11 @@ def _emit(text: str, output: str | None) -> None:
 def format_csv(result: SweepResult) -> str:
     names = [axis.name for axis in result.spec.axes]
     # each axis value is formatted once and reused on every row it labels
-    labels = [[_fmt(x) + "," for x in axis.values().tolist()] for axis in result.spec.axes]
-    prefixes = map("".join, itertools.product(*labels))
+    *outer, inner = [[_fmt(x) + "," for x in axis.values().tolist()] for axis in result.spec.axes]
     # every row in one formatting operation, its labels already in the template, then _fmt's sign rule on the value
-    # column; a label is a formatted number, with no % in it
-    template = "%.6f\n".join(prefixes) + "%.6f\n"
+    # column; a label is a formatted number, with no % in it.  The rows of one outer label are one join
+    template = "".join(prefix + ("%.6f\n" + prefix).join(inner) + "%.6f\n"
+                       for prefix in map("".join, itertools.product(*outer)))
     body = (template % tuple(result.values.ravel().tolist())).replace(",-0.000000\n", ",0.000000\n")
     at = ", ".join(f"{name}={_fmt(result.argmax[name])}" for name in names)
     return ",".join(names + ["Ic"]) + "\n" + body + f"# max Ic={_fmt(result.max_value)} at {at}\n"

@@ -29,21 +29,26 @@ modes:
   without moving its spectrum.
 
 :func:`coherent_information_batch` evaluates many points at once this way;
-:func:`coherent_information_at` is its one-point call.  A call over arrays,
-such as a sweep block, first looks at each state's whole stack once: where
-the state splits exactly at every point, its spectra are one diagonal entry
-and the two eigenvalues of a 2x2 block.  At complete decay (gamma_t = inf)
-the atom state's row 3 is zero.  For the symmetric emitter (alpha1 = 1/2)
-the field state's two photon entries are equal, so the photon state
-orthogonal to the one that couples to the vacuum is an eigenvector at that
-value.  Other stacks take their spectra from the trigonometric closed form
-for 3x3 Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)), and from
-LAPACK only where the closed form cannot resolve them: a near-double pair
-next to a small eigenvalue.  A call at one point, such as a simplex step,
-runs the same arithmetic on Python floats, entropies included, and resolves
-such a point by an exact split where a row is decoupled up to roundoff.
-Where that fails too (see :func:`_eigvalsh3`), and for ``compute``'s printed
-spectra, the one LAPACK entry is :func:`_lapack_eigvalsh3`.
+:func:`coherent_information_at` is its one-point call, which runs the same
+arithmetic on Python floats, entropies included.  Both take a state's
+spectrum by one split rule (see :func:`_eigvalsh3`): where a row is
+decoupled to within eps |tr| of the state, the spectrum is its diagonal
+entry and the two eigenvalues of the remaining 2x2 block, to LAPACK's own
+accuracy.  The model makes such rows often.  At complete decay
+(gamma_t = inf) the atom state's row 3 is zero; at chi = pi/2 its row 2 is
+zero up to roundoff (cos chi = 6.1e-17); with no pulse, or a maximally
+mixed input at theta = pi, the field's photon rows vanish.  A call over
+arrays, such as a sweep block, first looks at each state's whole stack
+once, and splits it whole where one row is decoupled at every point, or
+where the state is the symmetric emitter's field (alpha1 = 1/2): its two
+photon entries are equal, so the photon state orthogonal to the one that
+couples to the vacuum is an eigenvector.  Other stacks, and one-point
+states with no decoupled row, take the trigonometric closed form for 3x3
+Hermitian matrices (Smith, Commun. ACM 4, 168 (1961)).  Of the matrices
+that it cannot resolve, a near-double pair next to a small eigenvalue,
+those with a decoupled row split one by one, and only the rest go to the
+one LAPACK entry, :func:`_lapack_eigvalsh3`, as ``compute``'s printed
+spectra do.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .linalg import _float_entropy, entropy_bits
 # the smallest eigenvalue below SMALL_EIGENVALUE (see _eigvalsh3)
 DEGENERATE_TOL = 1e-2
 SMALL_EIGENVALUE = 1e-2
-# the unit roundoff scale of the exact split in _eigvalsh3
+# the unit roundoff scale of the split rule in _eigvalsh3
 EPSILON = math.ulp(1.0)
 
 
@@ -208,16 +213,25 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
     an array of that shape plus (3,), or Python numbers for one matrix, for
     a list of three floats.  An array call needs an array on the diagonal.
 
-    An array call first checks each whole stack, without tolerance, for an
-    exact split that holds at every point: a row whose two off-diagonal
-    entries are all zero, or a23 all zero with a22 equal to a33.  The first
-    gives a_kk and the eigenvalues (p + q)/2 +- hypot((p - q)/2, |h|) of
-    the remaining block [[p, h], [h*, q]].  The second gives a22, with
-    eigenvector (0, a13, -a12), and the eigenvalues of [[a11, n], [n, a22]],
-    n^2 = |a12|^2 + |a13|^2.  Such a stack skips the closed form and LAPACK.
+    One split rule serves both calls.  Row k is decoupled when its two
+    off-diagonal entries have a squared norm of at most (eps tr A)^2.  Then
+    A differs from the matrix with row and column k's off-diagonal entries
+    set to zero by a perturbation of 2-norm at most eps |tr A|, so by Weyl's
+    inequality each eigenvalue of A lies within eps |tr A| of one of the
+    split matrix: a_kk, and (p + q)/2 +- hypot((p - q)/2, |h|) of the
+    remaining 2x2 block [[p, h], [h*, q]].  That is LAPACK's own
+    backward-error scale.  Where several rows are decoupled, the first of
+    smallest norm splits.
 
-    By the trigonometric closed form (Smith,
-    Commun. ACM 4, 168 (1961)), with m = tr A / 3, p^2 = tr (A - m)^2 / 6 and
+    A one-matrix call splits a decoupled row before anything else.  An
+    array call first checks each whole stack for a row that is decoupled at
+    every point, and then, exactly, for a23 all zero with a22 equal to a33
+    (the symmetric emitter's field state).  The second gives a22, with
+    eigenvector (0, a13, -a12), and the eigenvalues of [[a11, n], [n, a22]],
+    n^2 = |a12|^2 + |a13|^2.  Such a stack skips the closed form.
+
+    Other matrices take the trigonometric closed form (Smith,
+    Commun. ACM 4, 168 (1961)): with m = tr A / 3, p^2 = tr (A - m)^2 / 6 and
     r = det(A - m) / (2 p^3) = cos(3 phi), the eigenvalues are
     m + 2 p cos(phi + 2 pi k / 3).  Near a double eigenvalue, r = +-1, the
     arccos turns the roundoff of r into an error of about
@@ -226,74 +240,84 @@ def _eigvalsh3(a11, a22, a33, a12, a13, a23):
     matrices with 1 - |r| below DEGENERATE_TOL whose smallest eigenvalue
     lies below SMALL_EIGENVALUE are left unresolved: there the error could
     make a zero eigenvalue a negative probability, or move an entropy by
-    more than 1e-13.  An array call sends them to :func:`_lapack_eigvalsh3`.
-
-    A one-matrix call first tries an exact split.  Let k be the row with
-    the smallest off-diagonal norm.  If that norm is at most
-    eps |tr A|, then A differs from the matrix with row and column k's
-    off-diagonal entries set to zero by a perturbation of that 2-norm, so
-    by Weyl's inequality each eigenvalue of A lies within eps |tr A| of one
-    of the split matrix: a_kk, and (p + q)/2 +- hypot((p - q)/2, |h|) of the
-    remaining 2x2 block [[p, h], [h*, q]].  That is LAPACK's own
-    backward-error scale, and only a matrix that fails the split goes to
-    LAPACK.
+    more than 1e-13.  In an array call, those with a decoupled row take its
+    split, matrix by matrix.  Only an unresolved matrix with no decoupled
+    row goes to :func:`_lapack_eigvalsh3`.
     """
     trace = a11 + a22 + a33
     point = not isinstance(trace, np.ndarray)
-    if not point:
-        # an exact split at every point of the stack, as (diagonal entry, 2x2 block p, q, |h|)
-        zero12, zero13, zero23 = not np.any(a12), not np.any(a13), not np.any(a23)
-        if zero12 and zero13:
-            split = a11, a22, a33, abs(a23)
-        elif zero12 and zero23:
-            split = a22, a11, a33, abs(a13)
-        elif zero13 and zero23:
-            split = a33, a11, a22, abs(a12)
-        elif zero23 and np.array_equal(a22, a33):
-            split = a22, a11, a22, np.hypot(abs(a12), abs(a13))
-        else:
-            split = None
+    s12, s13, s23 = (a12 * a12.conjugate()).real, (a13 * a13.conjugate()).real, (a23 * a23.conjugate()).real
+    tolerance = (EPSILON * trace) ** 2
+    if point:
+        # the first row of smallest off-diagonal norm, as the array route picks it from _rows; written
+        # out, since on one matrix the calls would cost more than the test itself
+        norm2, diagonal, p, q, h2 = s12 + s13, a11, a22, a33, s23
+        if s12 + s23 < norm2:
+            norm2, diagonal, p, q, h2 = s12 + s23, a22, a11, a33, s13
+        if s13 + s23 < norm2:
+            norm2, diagonal, p, q, h2 = s13 + s23, a33, a11, a22, s12
+        if norm2 <= tolerance:
+            mean, offset = 0.5 * (p + q), 0.5 * (p - q)
+            half = math.sqrt(offset * offset + h2)
+            return sorted((diagonal, mean - half, mean + half))
+    else:
+        rows = _rows(a11, a22, a33, s12, s13, s23)
+        # a split at every point of the stack, as (diagonal entry, 2x2 block p, q, |h|^2)
+        split = next((row[1:] for row in rows if (row[0] <= tolerance).all()), None)
+        if split is None and not np.any(a23) and np.array_equal(a22, a33):
+            split = a22, a11, a22, s12 + s13
         if split is not None:
             return _split_stack(np.broadcast(a11, a22, a33, a12, a13, a23).shape, *split)
+    sqrt, cos, arccos, ratio = _POINT_ROOT_OPS if point else _ARRAY_ROOT_OPS
     m = trace / 3.0
     b11, b22, b33 = a11 - m, a22 - m, a33 - m
-    s12, s13, s23 = (a12 * a12.conjugate()).real, (a13 * a13.conjugate()).real, (a23 * a23.conjugate()).real
     p2 = (b11 * b11 + b22 * b22 + b33 * b33) / 6.0 + (s12 + s13 + s23) / 3.0
     det = b11 * b22 * b33 - b11 * s23 - b22 * s13 - b33 * s12 + 2.0 * (a12 * a23 * a13.conjugate()).real
-    sqrt, cos, arccos, ratio = _POINT_ROOT_OPS if point else _ARRAY_ROOT_OPS
     p = sqrt(p2)
     r = ratio(det, 2.0 * p * p2)
     angle = arccos(r) / 3.0
     high = m + 2.0 * p * cos(angle)
     low = m + 2.0 * p * cos(angle + 2.0 * math.pi / 3.0)
     unresolved = (1.0 - abs(r) < DEGENERATE_TOL) & (abs(low) < SMALL_EIGENVALUE)
-    if not point:
-        values = np.stack([low, trace - low - high, high], axis=-1)
-        if unresolved.any():
-            entries = (x[unresolved] for x in np.broadcast_arrays(a11, a22, a33, a12, a13, a23))
-            values[unresolved] = _lapack_eigvalsh3((np.count_nonzero(unresolved),), *entries)
-        return values
-    if not unresolved:
+    if point:
+        if unresolved:
+            return _lapack_eigvalsh3((), a11, a22, a33, a12, a13, a23).tolist()
         return [low, trace - low - high, high]
-    # the first row of smallest off-diagonal norm: (squared norm, diagonal entry, remaining 2x2 block p, q, h)
-    norm2, diagonal, p, q, h = s12 + s13, a11, a22, a33, a23
-    if s12 + s23 < norm2:
-        norm2, diagonal, p, q, h = s12 + s23, a22, a11, a33, a13
-    if s13 + s23 < norm2:
-        norm2, diagonal, p, q, h = s13 + s23, a33, a11, a22, a12
-    if math.sqrt(norm2) <= EPSILON * abs(trace):
-        mean, half = 0.5 * (p + q), math.hypot(0.5 * (p - q), abs(h))
-        return sorted((diagonal, mean - half, mean + half))
-    return _lapack_eigvalsh3((), a11, a22, a33, a12, a13, a23).tolist()
+    values = np.stack([low, trace - low - high, high], axis=-1)
+    if unresolved.any():
+        # the unresolved matrices alone, under the same names
+        tolerance, a11, a22, a33, a12, a13, a23, s12, s13, s23 = (
+            x[unresolved] for x in np.broadcast_arrays(tolerance, a11, a22, a33, a12, a13, a23, s12, s13, s23))
+        rows = _rows(a11, a22, a33, s12, s13, s23)
+        # argmin takes the first of equal norms
+        first = np.argmin([norm2 for norm2, *_ in rows], axis=0)
+        norm2, diagonal, p, q, h2 = (np.choose(first, column) for column in zip(*rows))
+        split = _split_stack(norm2.shape, diagonal, p, q, h2)
+        coupled = ~(norm2 <= tolerance)
+        if coupled.any():
+            entries = (x[coupled] for x in (a11, a22, a33, a12, a13, a23))
+            split[coupled] = _lapack_eigvalsh3((np.count_nonzero(coupled),), *entries)
+        values[unresolved] = split
+    return values
 
 
-def _split_stack(shape, diagonal, p, q, h) -> np.ndarray:
-    """Ascending eigenvalues, ``shape + (3,)``, of matrices split into ``diagonal`` and [[p, h], [h, q]], h >= 0."""
-    mean, half = 0.5 * (p + q), np.hypot(0.5 * (p - q), h)
+def _rows(a11, a22, a33, s12, s13, s23) -> tuple:
+    """Each row k as (squared off-diagonal norm, a_kk, the remaining 2x2 block's p, q and |h|^2); s_ij = |a_ij|^2."""
+    return (s12 + s13, a11, a22, a33, s23), (s12 + s23, a22, a11, a33, s13), (s13 + s23, a33, a11, a22, s12)
+
+
+def _split_stack(shape, diagonal, p, q, h2) -> np.ndarray:
+    """Ascending eigenvalues, ``shape + (3,)``, of matrices split into ``diagonal`` and [[p, h], [h*, q]], h2 = |h|^2.
+
+    The square root of the sum of squares replaces hypot: a state's entries lie in [-1, 1], so the squares
+    cannot overflow, and numpy's hypot costs several times as much.
+    """
+    offset = 0.5 * (p - q)
+    mean, half = 0.5 * (p + q), np.sqrt(offset * offset + h2)
     low, high = mean - half, mean + half
     values = np.empty(shape + (3,))
     np.minimum(diagonal, low, out=values[..., 0])
-    np.clip(diagonal, low, high, out=values[..., 1])
+    np.minimum(np.maximum(diagonal, low), high, out=values[..., 1])
     np.maximum(diagonal, high, out=values[..., 2])
     return values
 

@@ -218,19 +218,24 @@ def _grid_blocks(
     the whole grid in order; ``ic`` holds I_c at ``flat[start:start + BLOCK]``.
     A point takes its axis values and ``base`` for the other parameters.  A
     block passes its axes as arrays and the fixed parameters as numbers.
-    Unphysical points are not evaluated and read -inf.
+    Over the whole grid, unphysical points are not evaluated and read -inf.
+    Points given in ``flat`` must be physical: they are not checked again.
     """
     shape = tuple(len(values) for values in axis_values)
-    if flat is None:
+    checked = flat is None
+    if checked:
         flat = np.arange(math.prod(shape))
     numbers = {name: float(value) for name, value in base.items()}
     for start in range(0, len(flat), BLOCK):
         index = np.unravel_index(flat[start : start + BLOCK], shape)
         axes = {name: values[i] for name, values, i in zip(names, axis_values, index)}
-        valid = _valid({**numbers, **axes})
-        ic = np.full(len(valid), -np.inf)
-        if valid.any():  # a fixed value that fails a rule fails every point
-            ic[valid] = _block_ic({**numbers, **{name: column[valid] for name, column in axes.items()}})
+        if checked:
+            valid = _valid({**numbers, **axes})
+            ic = np.full(len(valid), -np.inf)
+            if valid.any():  # a fixed value that fails a rule fails every point
+                ic[valid] = _block_ic({**numbers, **{name: column[valid] for name, column in axes.items()}})
+        else:
+            ic = _block_ic({**numbers, **axes})
         yield start, ic
 
 
@@ -244,7 +249,8 @@ def _pruned_grid(base: Mapping[str, float], names: Sequence[str], axis_values: S
     A dropped point's I_c exceeds its bound by roundoff at most, far less
     than SIMPLEX_TOL, so it lies below a value already evaluated: the
     grid's maximum and its first index are those of the grid with every
-    point evaluated.
+    point evaluated.  The checks run once, over the whole grid, so each
+    pass hands :func:`_grid_blocks` only physical points.
     """
     shape = tuple(len(values) for values in axis_values)
     # each axis spans a dimension of its own: the checks and the bound broadcast from the axes to the grid

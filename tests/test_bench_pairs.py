@@ -87,3 +87,20 @@ def test_summary_holds_each_median_to_its_bound(bench_pairs):
     pairs = [(bench_pairs.report(_stdout(**base)), bench_pairs.report(_stdout(**dict(base, call_s=call_s))))
              for call_s in (0.015625, 0.016, 0.1)]
     assert bench_pairs.summarize(pairs, END_TO_END)[1]["within_bound"]
+
+
+def test_summary_holds_the_changes_spread_to_the_bound(bench_pairs):
+    # the base's median 0.015625 allows a spread of 0.25 * 0.015625 = 0.00390625 in call_s
+    base = dict(setup_s=0.5, call_s=0.015625, points_per_s=4e5, peak_rss_mb=80.0)
+
+    def steady(calls):
+        pairs = [(bench_pairs.report(_stdout(**base)), bench_pairs.report(_stdout(**dict(base, call_s=c))))
+                 for c in calls]
+        return {row["name"]: row["steady"] for row in bench_pairs.summarize(pairs, END_TO_END)}
+
+    # quartiles 0.0078125 and 0.01171875 of four runs: a spread of exactly the allowance, then just past it
+    assert steady([0.0078125, 0.0078125, 0.01171875, 0.01171875])["call_s"]
+    assert steady([0.0078125, 0.0078125, 0.01172, 0.01172]) == {
+        "setup_s": True, "call_s": False, "points_per_s": True, "peak_rss_mb": True}
+    # the spread is the change's own, whichever way the median moves: a faster change that scatters is unsteady
+    assert not steady([0.001, 0.001, 0.008, 0.008])["call_s"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lambda_capacity import lambda_system
+from lambda_capacity import cli, lambda_system
 from lambda_capacity.channel import qubit_state, validate_channel
 from lambda_capacity.lambda_system import (
     InvalidAlphas,
@@ -379,18 +379,28 @@ def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
         spectrum = [0.0, small, 1.0 - small]
         diagonal = spectrum.pop(i // 3 % 3)
         cases.append(matrix(i % 3, diagonal, spectrum, rng.uniform(0.0, 0.9) * eps))
-    # the shape of every matrix stack that reaches LAPACK
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    # the shape of every matrix stack that reaches LAPACK, and every split of the array route as
+    # (shape, diagonal entries)
+    shapes, splits = [], []
+    eigvalsh, split_stack = np.linalg.eigvalsh, lambda_system._split_stack
 
     def spy(matrices, *args, **kwargs):
         shapes.append(np.shape(matrices))
         return eigvalsh(matrices, *args, **kwargs)
 
+    def split_spy(shape, diagonal, *block):
+        splits.append((shape, np.asarray(diagonal).tolist()))
+        return split_stack(shape, diagonal, *block)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    # the closed form leaves every case unresolved: the array route sends all of them to LAPACK
-    _eigvalsh3(*(np.array(column) for column in zip(*map(entries, cases))))
-    assert shapes == [(len(cases), 3, 3)]
+    monkeypatch.setattr(lambda_system, "_split_stack", split_spy)
+    # the closed form leaves every case unresolved, and no row is decoupled at every point: the array
+    # route splits each matrix at its own row, without LAPACK
+    stacked = _eigvalsh3(*(np.array(column) for column in zip(*map(entries, cases))))
+    assert shapes == [] and [shape for shape, _ in splits] == [(len(cases),)]
+    reference = np.linalg.eigvalsh(np.array(cases))
+    traces = np.abs(np.trace(np.array(cases), axis1=1, axis2=2).real)
+    assert (np.abs(stacked - reference).max(axis=1) <= 4.0 * eps * traces).all()
     shapes.clear()
     for a in cases:
         split = _eigvalsh3(*entries(a))
@@ -423,19 +433,34 @@ def test_point_spectra_split_a_decoupled_row_exactly(monkeypatch):
         ties.append((a, list(tied)))
     for tied in ([0, 1], [0, 2], [1, 2]):  # the tie rule decides the result
         assert any(split(a, rows[0]) != split(a, rows[1]) for a, rows in ties if rows == tied)
+    # the array route splits every matrix, each at its own row: all are unresolved by the closed form.  Where
+    # numpy's squared norms tie too (its complex arithmetic may round |a_ij|^2 differently), it splits at the
+    # first tied row
     shapes.clear()
-    _eigvalsh3(*(np.array(column) for column in zip(*(entries(a) for a, _ in ties))))
-    assert shapes == [(len(ties), 3, 3)]  # all unresolved by the closed form
-    shapes.clear()
+    splits.clear()
+    columns = [np.array(column) for column in zip(*(entries(a) for a, _ in ties))]
+    _eigvalsh3(*columns)
+    [(shape, diagonals)] = splits
+    assert shapes == []
+    s12, s13, s23 = ((x * x.conjugate()).real for x in columns[3:])
+    norms = [s12 + s13, s12 + s23, s13 + s23]
+    exact = [k for k, (_, rows) in enumerate(ties) if norms[rows[0]][k] == norms[rows[1]][k]]
+    assert shape == (len(ties),) and len(exact) >= len(ties) // 2
+    assert all(diagonals[k] == a[rows[0], rows[0]].real for k, (a, rows) in enumerate(ties) if k in exact)
     for a, rows in ties:
         assert _eigvalsh3(*entries(a)) == split(a, rows[0])
     assert shapes == []
 
-    # a row coupled just above eps |trace| goes to LAPACK
+    # a row coupled just above eps |trace| goes to LAPACK, on both routes
     shapes.clear()
     coupled = matrix(0, 0.0, [0.002, 0.998], 1.01 * eps)
     assert _eigvalsh3(*entries(coupled)) == np.linalg.eigvalsh(coupled, UPLO="U").tolist()
     assert shapes == [(3, 3), (3, 3)]
+    shapes.clear()
+    splits.clear()
+    stacked = _eigvalsh3(*(np.array(column) for column in zip(*map(entries, [*cases, coupled]))))
+    assert shapes == [(1, 3, 3)] and [shape for shape, _ in splits] == [(len(cases) + 1,)]
+    assert stacked[-1].tolist() == np.linalg.eigvalsh(coupled, UPLO="U").tolist()
 
 
 def test_array_spectra_split_exact_structures_without_lapack(monkeypatch):
@@ -461,6 +486,10 @@ def test_array_spectra_split_exact_structures_without_lapack(monkeypatch):
     def coupling(shape):
         return rng.uniform(0.0, 0.2, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
 
+    def roundoff(shape):
+        """Entries below 0.2 eps: two of them have a norm below eps times any trace here, at least 0.4."""
+        return coupling(shape) * eps
+
     def spectra(entries, shape):
         """The array route's spectra of the matrices with these entries, and LAPACK's as a reference."""
         values = _eigvalsh3(*entries)
@@ -475,10 +504,13 @@ def test_array_spectra_split_exact_structures_without_lapack(monkeypatch):
     photon, r2 = diagonal(257), diagonal((5, 9))
     # (entries, shape, a change at one point that breaks the split: (index in entries, value added there))
     stacks = [
-        # each row zero off the diagonal at every point, as arrays, -0.0 or a Python zero
+        # each row zero off the diagonal at every point, as arrays, -0.0 or a Python zero, or zero up to roundoff
         ((diagonal(257), diagonal(257), diagonal(257), zero, signed_zero, coupling(257)), (257,), (3, 0.05)),
         ((diagonal(257), diagonal(257), diagonal(257), zero, coupling(257), 0j), (257,), (5, 0.05j)),
         ((diagonal(257), diagonal(257), 0.0, coupling(257), signed_zero, zero), (257,), (4, 1e-3)),
+        ((diagonal(257), diagonal(257), diagonal(257), roundoff(257), coupling(257), roundoff(257)), (257,),
+         (3, 0.05)),
+        ((diagonal(257), diagonal(257), 0.0, coupling(257), roundoff(257), -roundoff(257)), (257,), (4, 1e-3)),
         # the field state's arrow at asym = 1: a23 = 0 and a22 = a33; its a12, a13 are real
         ((diagonal(257), photon, photon.copy(), np.abs(coupling(257)), np.abs(coupling(257)), 0.0), (257,),
          (2, 1e-3)),
@@ -496,15 +528,68 @@ def test_array_spectra_split_exact_structures_without_lapack(monkeypatch):
         split_shapes.clear()
         if change is None:
             continue
-        # one point that breaks the structure sends the whole stack to the closed form
+        # one point that breaks the structure sends the whole stack to the closed form.  Of the matrices that
+        # it leaves unresolved, those with a decoupled row split one by one; only the broken point may not
         index, value = change
         broken = list(np.broadcast_arrays(*entries))
         broken[index] = broken[index].astype(complex if index > 2 else float)
         broken[index][(0,) * len(shape)] += value
         values, reference, _ = spectra(broken, shape)
         assert np.abs(values - reference).max() <= 1e-13
-        assert split_shapes == []
+        assert shape not in split_shapes and sum(map(math.prod, lapack_shapes)) <= 1
+        split_shapes.clear()
         lapack_shapes.clear()
+
+
+def test_array_spectra_split_mixed_stacks_matrix_by_matrix(monkeypatch):
+    # fig1b's atom state, whose row 2 is zero up to roundoff at chi = pi/2 (cos chi = 6.1e-17), at every other
+    # point, and coupled at chi = pi/2 - 1e-4 at the rest: no row is decoupled at every point of the stack
+    rng = np.random.default_rng(2800)
+    eps = np.finfo(float).eps
+    n = 400
+    decoupled = np.arange(n) % 2 == 0
+    theta, gamma_t = rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 8.0, n)
+    chi = np.where(decoupled, math.pi / 2, math.pi / 2 - 1e-4)
+    _, atom = _states(theta, chi, 0.0, gamma_t, 0.5, 0.5, 0.5, 0j)
+    splits, reached = [], []
+    split_stack, lapack = lambda_system._split_stack, lambda_system._lapack_eigvalsh3
+
+    def split_spy(shape, *block):
+        splits.append(shape)
+        return split_stack(shape, *block)
+
+    def lapack_spy(shape, *entries):
+        reached.extend(entries[0].tolist())  # a11 identifies the matrix
+        return lapack(shape, *entries)
+
+    monkeypatch.setattr(lambda_system, "_split_stack", split_spy)
+    monkeypatch.setattr(lambda_system, "_lapack_eigvalsh3", lapack_spy)
+    values = _eigvalsh3(*atom)
+    a = np.zeros((n, 3, 3), dtype=complex)
+    for (i, j), x in zip([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], np.broadcast_arrays(*atom)):
+        a[:, i, j], a[:, j, i] = x, np.conj(x)
+    reference, trace = np.linalg.eigvalsh(a), np.abs(np.trace(a, axis1=1, axis2=2))
+    # the closed form leaves some matrices of each kind unresolved: of those, only the coupled reach LAPACK
+    [(left,)] = splits
+    assert 0 < len(reached) < left
+    assert set(reached) <= set(atom[0][~decoupled].tolist())
+    assert (np.abs(values - reference)[decoupled].max(axis=-1) <= 4.0 * eps * trace[decoupled]).all()
+    assert np.abs(values - reference).max() <= 1e-13
+    # the one-point route, which splits the same rows, agrees
+    monkeypatch.undo()
+    arguments = [(t, c, 0.0, g, 0.5, 0.5, 0.5, 0j) for t, c, g in zip(theta.tolist(), chi.tolist(), gamma_t.tolist())]
+    single = [coherent_information_batch(*point) for point in arguments]
+    assert np.abs(coherent_information_batch(theta, chi, 0.0, gamma_t, 0.5, 0.5, 0.5, 0j) - single).max() <= 1e-13
+
+
+def test_no_preset_spectrum_reaches_lapack(monkeypatch, capsys):
+    calls = []
+    lapack = lambda_system._lapack_eigvalsh3
+    monkeypatch.setattr(lambda_system, "_lapack_eigvalsh3", lambda *args: calls.append(args) or lapack(*args))
+    for figure in FIGURES:
+        for fmt in ("csv", "json"):
+            assert cli.main(["figure", "--figure", figure, "--format", fmt]) == 0
+    assert capsys.readouterr().out and calls == []
 
 
 def test_preset_surfaces_match_lapack_spectra(monkeypatch):
@@ -519,11 +604,12 @@ def test_preset_surfaces_match_lapack_spectra(monkeypatch):
     surfaces, splits = {}, {}
     for figure in FIGURES:
         surfaces[figure] = grid_sweep(figure_preset(figure)).values
-        splits[figure] = len(split_shapes)
+        splits[figure] = split_shapes.copy()
         split_shapes.clear()
-    # the exact splits take both states at complete decay with asym = 1, only the field where gamma_t is swept,
-    # and only the atom where asym is
-    assert splits == {"fig1a": 2, "fig1b": 1, "fig2a": 2, "fig2b": 1}
+    # every preset's two states split as whole stacks: the field at asym = 1 or, in fig2b (theta = pi, a
+    # maximally mixed input), where its photon entries vanish up to roundoff; the atom where its row 3 is zero
+    # (gamma_t = inf) or, in fig1b, where its row 2 is zero up to roundoff (chi = pi/2)
+    assert splits == {figure: [(41 * 41,)] * 2 for figure in FIGURES}
 
     def lapack(*entries):
         return lambda_system._lapack_eigvalsh3(np.broadcast(*entries).shape, *entries)

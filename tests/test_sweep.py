@@ -329,6 +329,19 @@ def test_maximize_over_pulse_angle():
     assert best.iterations > 0
 
 
+def test_symmetric_emitter_optimum_holds_to_roundoff():
+    # the benchmark's theta problem: the symmetric emitter at complete decay with a maximally mixed input, at
+    # drawn chi and phi.  The optimum is 1.5 - h(1/4) bits.  The atom state's row 3 is zero, so every step
+    # takes the atom's spectrum from a split, not from the closed form
+    target = 1.5 + 0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)
+    rng = np.random.default_rng(2802)
+    for _ in range(60):
+        fixed = {"chi": rng.uniform(0.0, math.pi / 2), "phi": rng.uniform(-math.pi, math.pi), "gamma_t": math.inf,
+                 "asym": 1.0}
+        best = maximize_ic(["theta"], {"theta": (0.0, TWO_PI)}, fixed)
+        assert abs(best.value - target) <= 4.0 * np.finfo(float).eps
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 4: bounded Nelder-Mead clips the 1-D simplex onto the bound chi = pi/2",
@@ -606,8 +619,8 @@ class _Seeded(Exception):
 
 
 def test_pruned_seed_evaluates_only_points_that_can_hold_the_maximum(monkeypatch):
-    passes, bounds_taken = [], []
-    grid_blocks, states = sweep._grid_blocks, sweep._states
+    passes, bounds_taken, block_checks = [], [], []
+    grid_blocks, states, valid = sweep._grid_blocks, sweep._states, sweep._valid
 
     def counted_blocks(base, names, axis_values, flat=None):
         passes.append(None if flat is None else len(flat))
@@ -617,19 +630,28 @@ def test_pruned_seed_evaluates_only_points_that_can_hold_the_maximum(monkeypatch
         bounds_taken.append(None)
         return states(*args)
 
+    def counted_valid(columns):
+        block_checks.append(None)
+        return valid(columns)
+
     def seeded(f, x0, bounds):
         raise _Seeded
 
     monkeypatch.setattr(sweep, "_grid_blocks", counted_blocks)
     monkeypatch.setattr(sweep, "_states", counted_states)
+    monkeypatch.setattr(sweep, "_valid", counted_valid)
     monkeypatch.setattr(sweep, "minimize", seeded)
 
     def seed_cost(free, bounds, fixed):
         # (the points of each pass over the grid, None for the whole grid; bounds computed) by one search's seed
         passes.clear()
         bounds_taken.clear()
+        block_checks.clear()
         with pytest.raises(_Seeded):
             maximize_ic(list(free), bounds, fixed)
+        # the whole grid checks each of its blocks; a pruned grid's passes take points already checked
+        blocks = math.ceil(sweep.COARSE_POINTS ** len(free) / sweep.BLOCK)
+        assert len(block_checks) == (blocks if passes == [None] else 0)
         return passes[:], len(bounds_taken)
 
     def problems(seed):

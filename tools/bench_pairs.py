@@ -13,10 +13,13 @@ change won, ties counting for neither:
 
 A change is refused when, in some metric, its median is worse than the
 base's by more than the metric's ``bound``, a fraction of the base's
-median; the column before the last says whether the change stays within
-it.  A gain may be claimed when the change wins at least nine tenths of
-the pairs and the medians differ by more than the base's interquartile
-distance; the last column says whether both hold.  Each tree's benchmark
+median; the "within bound" column says whether the change stays within
+it.  It is also refused when its runs spread too widely to tell: the
+"steady" column says whether the change's interquartile distance is
+within the same ``bound`` times the base's median.  A gain may be claimed
+when the change wins at least nine tenths of the pairs and the medians
+differ by more than the base's interquartile distance; the last column
+says whether both hold.  Each tree's benchmark
 writes only to its own ``perfbench/out/``, which git ignores.  The worktree
 is made in a temporary directory and removed at the end.
 """
@@ -53,9 +56,11 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     ``change`` as (q1, median, q3), ``wins``, the pairs in which the change
     is better in the metric's ``better`` direction, ``within_bound``:
     whether the change's median is no worse than the base's by more than
-    the metric's ``bound`` times the base's median, and ``claim``: whether
-    the change wins at least nine tenths of the pairs and the medians
-    differ by more than the base's interquartile distance, in its favour.
+    the metric's ``bound`` times the base's median, ``steady``: whether the
+    change's interquartile distance is within that same allowance, and
+    ``claim``: whether the change wins at least nine tenths of the pairs and
+    the medians differ by more than the base's interquartile distance, in
+    its favour.
     """
     rows = []
     for metric in end_to_end:
@@ -64,10 +69,10 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
         base = quartiles([b for b, _ in values])
         change = quartiles([c for _, c in values])
         wins = sum(sign * (c - b) > 0.0 for b, c in values)
-        gain = sign * (change[1] - base[1])
+        gain, allowed = sign * (change[1] - base[1]), metric["bound"] * abs(base[1])
         rows.append({
             "name": name, "unit": metric["unit"], "base": base, "change": change, "wins": wins,
-            "within_bound": gain >= -metric["bound"] * abs(base[1]),
+            "within_bound": gain >= -allowed, "steady": change[2] - change[0] <= allowed,
             "claim": wins >= 0.9 * len(pairs) and gain > base[2] - base[0],
         })
     return rows
@@ -107,12 +112,12 @@ def main(argv: list[str] | None = None) -> int:
             subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT, check=True)
 
     print(f"{args.workload}: {len(pairs)} pairs of {seconds:g} s, base {args.base} -> working tree")
-    print("metric  unit  base median [q1, q3]  change median [q1, q3]  change wins  within bound  claim")
+    print("metric  unit  base median [q1, q3]  change median [q1, q3]  change wins  within bound  steady  claim")
     for row in summarize(pairs, benchmark["end_to_end"]):
         (b1, b2, b3), (c1, c2, c3) = row["base"], row["change"]
         print(f"{row['name']}  {row['unit']}  {b2:.6g} [{b1:.6g}, {b3:.6g}]  {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"{row['wins']}/{len(pairs)}  {'yes' if row['within_bound'] else 'no'}  "
-              f"{'met' if row['claim'] else 'not met'}")
+              f"{'yes' if row['steady'] else 'no'}  {'met' if row['claim'] else 'not met'}")
     return 0 if all(r["correct"] and r["failed"] == 0 for pair in pairs for r in pair) else 1
 
 
